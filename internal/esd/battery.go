@@ -183,6 +183,18 @@ type Battery struct {
 
 	stats Stats
 	wear  wearTracker
+
+	// Derived once from cfg, which never changes after NewBattery, and
+	// never checkpointed.
+	qNominal            float64 // unfaded capacity in coulombs
+	ocvLo, ocvSpan      float64 // empty-cell OCV and the empty-to-full swing
+	kPerSec, leakPerSec float64 // KiBaM rate and self-discharge per second
+	thermalOn           bool
+
+	// flowSecs, flowSteps and flowH memoize flow's Euler sub-step count
+	// and length for the last step length.
+	flowSecs, flowH float64
+	flowSteps       int
 }
 
 var _ Device = (*Battery)(nil)
@@ -192,7 +204,17 @@ func NewBattery(cfg BatteryConfig) (*Battery, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	b := &Battery{cfg: cfg}
+	vn := float64(cfg.NominalVoltage)
+	lo, hi := cfg.VEmptyFrac*vn, cfg.VFullFrac*vn
+	b := &Battery{
+		cfg:        cfg,
+		qNominal:   float64(units.AmpereHours(cfg.CapacityAh)),
+		ocvLo:      lo,
+		ocvSpan:    hi - lo,
+		kPerSec:    cfg.K / 3600,
+		leakPerSec: cfg.SelfDischargePerHour / 3600,
+		thermalOn:  cfg.Thermal.Enabled(),
+	}
 	b.Reset()
 	return b, nil
 }
@@ -216,17 +238,16 @@ func (b *Battery) lifeFraction() float64 {
 	if rated <= 0 {
 		return 0
 	}
-	return math.Min(1, b.wear.weightedAh/rated)
+	return min(1, b.wear.weightedAh/rated)
 }
 
 // qMax is the total charge capacity in coulombs, shrunk by age when
 // capacity fade is configured.
 func (b *Battery) qMax() float64 {
-	nominal := float64(units.AmpereHours(b.cfg.CapacityAh))
 	if b.cfg.FadeAtEOL > 0 {
-		nominal *= 1 - b.cfg.FadeAtEOL*b.lifeFraction()
+		return b.qNominal * (1 - b.cfg.FadeAtEOL*b.lifeFraction())
 	}
-	return nominal
+	return b.qNominal
 }
 
 // qFloor is the charge level at which the DoD window is exhausted.
@@ -265,14 +286,12 @@ func (b *Battery) TerminalVoltage(p units.Power) units.Voltage {
 	}
 	r := b.effectiveOhm()
 	i := solveDischargeCurrent(float64(p), voc, r)
-	i = math.Min(i, b.maxDischargeCurrent())
+	i = min(i, b.maxDischargeCurrent())
 	return units.Voltage(voc - i*r)
 }
 
 func (b *Battery) ocv() units.Voltage {
-	vn := float64(b.cfg.NominalVoltage)
-	lo, hi := b.cfg.VEmptyFrac*vn, b.cfg.VFullFrac*vn
-	return units.Voltage(lo + (hi-lo)*b.totalSoC())
+	return units.Voltage(b.ocvLo + b.ocvSpan*b.totalSoC())
 }
 
 // h1Frac is the fill fraction of the available well.
@@ -288,7 +307,7 @@ func (b *Battery) h1Frac() float64 {
 // sag term that collapses the voltage when the available well runs low.
 func (b *Battery) effectiveOhm() float64 {
 	const floor = 0.05
-	h1 := math.Max(b.h1Frac(), floor)
+	h1 := max(b.h1Frac(), floor)
 	r := b.cfg.InternalOhm + b.cfg.SagOhm*(1-h1)/h1
 	if b.cfg.ResistanceGrowthAtEOL > 0 {
 		r *= 1 + b.cfg.ResistanceGrowthAtEOL*b.lifeFraction()
@@ -302,7 +321,7 @@ func (b *Battery) availableDischargeCharge() float64 {
 	floorShare := b.cfg.C * b.qFloor() // keep the wells proportionally floored
 	avail := b.q1 - floorShare
 	total := b.q1 + b.q2 - b.qFloor()
-	return math.Max(0, math.Min(avail, total))
+	return max(0, min(avail, total))
 }
 
 // maxDischargeCurrent is the instantaneous current limit from the C-rate
@@ -313,7 +332,7 @@ func (b *Battery) maxDischargeCurrent() float64 {
 	vcut := b.cfg.CutoffFrac * float64(b.cfg.NominalVoltage)
 	r := b.effectiveOhm()
 	iCut := (voc - vcut) / r
-	return math.Max(0, math.Min(iRate, iCut))
+	return max(0, min(iRate, iCut))
 }
 
 // MaxDischargePower estimates deliverable power right now.
@@ -324,7 +343,7 @@ func (b *Battery) MaxDischargePower() units.Power {
 	i := b.maxDischargeCurrent()
 	voc := float64(b.ocv())
 	v := voc - i*b.effectiveOhm()
-	return units.Power(math.Max(0, v*i))
+	return units.Power(max(0, v*i))
 }
 
 // MaxChargePower estimates acceptable charging power right now.
@@ -336,10 +355,20 @@ func (b *Battery) MaxChargePower() units.Power {
 	if head <= 0 {
 		return 0
 	}
-	i := b.cfg.MaxChargeC * b.cfg.CapacityAh * b.thermal.chargeDerate(b.cfg.Thermal)
+	i := b.maxChargeCurrent()
 	voc := float64(b.ocv())
 	v := voc + i*b.cfg.InternalOhm
 	return units.Power(v * i)
+}
+
+// maxChargeCurrent is the C-rate charge-current ceiling, derated while the
+// cell runs hot.
+func (b *Battery) maxChargeCurrent() float64 {
+	i := b.cfg.MaxChargeC * b.cfg.CapacityAh
+	if b.thermalOn {
+		i *= b.thermal.chargeDerate(b.cfg.Thermal)
+	}
+	return i
 }
 
 // Depleted reports whether the usable window is effectively empty.
@@ -363,7 +392,7 @@ func (b *Battery) Stored() units.Energy {
 	if b.failed {
 		return 0
 	}
-	q := math.Max(0, b.q1+b.q2-b.qFloor())
+	q := max(0, b.q1+b.q2-b.qFloor())
 	return units.Charge(q).At(b.ocv())
 }
 
@@ -386,8 +415,8 @@ func (b *Battery) Discharge(req units.Power, dt time.Duration) units.Power {
 	voc := float64(b.ocv())
 	r := b.effectiveOhm()
 	i := solveDischargeCurrent(float64(req), voc, r)
-	i = math.Min(i, b.maxDischargeCurrent())
-	i = math.Min(i, b.availableDischargeCharge()/secs)
+	i = min(i, b.maxDischargeCurrent())
+	i = min(i, b.availableDischargeCharge()/secs)
 	if i <= 0 {
 		b.flow(secs)
 		return 0
@@ -397,21 +426,25 @@ func (b *Battery) Discharge(req units.Power, dt time.Duration) units.Power {
 
 	drawn := i * secs // coulombs out of the available well
 	b.wear.recordDischarge(b.cfg, i, b.SoC(), drawn)
-	if m := b.thermal.wearMultiplier(b.cfg.Thermal); m != 1 {
-		// Re-weight the increment for temperature-accelerated aging.
-		extra := units.Charge(drawn).Ah() * b.wear.lastWeight * (m - 1)
-		b.wear.weightedAh += extra
-		b.wear.lastWeight *= m
+	if b.thermalOn {
+		if m := b.thermal.wearMultiplier(b.cfg.Thermal); m != 1 {
+			// Re-weight the increment for temperature-accelerated aging.
+			extra := units.Charge(drawn).Ah() * b.wear.lastWeight * (m - 1)
+			b.wear.weightedAh += extra
+			b.wear.lastWeight *= m
+		}
 	}
 	b.q1 -= drawn
-	b.stats.EnergyOut += delivered.Over(dt)
+	b.stats.EnergyOut += units.Energy(float64(delivered) * secs)
 	dissipated := (voc - v) * i
 	b.stats.Loss += units.Energy(dissipated * secs)
 	b.stats.ThroughputAh += units.Charge(drawn).Ah()
 	b.stats.WeightedAh += units.Charge(drawn).Ah() * b.wear.lastWeight
 	b.stats.DischargeTime += dt
 
-	b.thermal.advance(b.cfg.Thermal, dissipated, secs)
+	if b.thermalOn {
+		b.thermal.advance(b.cfg.Thermal, dissipated, secs)
+	}
 	b.flow(secs)
 	return delivered
 }
@@ -432,10 +465,10 @@ func (b *Battery) Charge(offered units.Power, dt time.Duration) units.Power {
 	voc := float64(b.ocv())
 	r := b.cfg.InternalOhm
 	i := solveChargeCurrent(float64(offered), voc, r)
-	i = math.Min(i, b.cfg.MaxChargeC*b.cfg.CapacityAh*b.thermal.chargeDerate(b.cfg.Thermal))
+	i = min(i, b.maxChargeCurrent())
 	// Only CoulombicEff of the current is stored; cap so stored charge
 	// fits in the remaining headroom.
-	i = math.Min(i, head/(b.cfg.CoulombicEff*secs))
+	i = min(i, head/(b.cfg.CoulombicEff*secs))
 	if i <= 0 {
 		b.flow(secs)
 		return 0
@@ -448,15 +481,18 @@ func (b *Battery) Charge(offered units.Power, dt time.Duration) units.Power {
 	// well, mirroring how KiBaM treats charging as a negative current on
 	// the available well.
 	cap1 := b.cfg.C * b.qMax()
-	into1 := math.Min(stored, math.Max(0, cap1-b.q1))
+	into1 := min(stored, max(0, cap1-b.q1))
 	b.q1 += into1
 	b.q2 += stored - into1
 
 	storedEnergy := units.Charge(stored).At(units.Voltage(voc))
-	b.stats.EnergyIn += input.Over(dt)
-	loss := input.Over(dt) - storedEnergy
+	inputEnergy := units.Energy(float64(input) * secs)
+	b.stats.EnergyIn += inputEnergy
+	loss := inputEnergy - storedEnergy
 	b.stats.Loss += loss
-	b.thermal.advance(b.cfg.Thermal, float64(loss)/secs, secs)
+	if b.thermalOn {
+		b.thermal.advance(b.cfg.Thermal, float64(loss)/secs, secs)
+	}
 
 	b.flow(secs)
 	return input
@@ -465,8 +501,11 @@ func (b *Battery) Charge(offered units.Power, dt time.Duration) units.Power {
 // Rest lets the battery recover (well equalization), self-discharge and
 // cool toward ambient.
 func (b *Battery) Rest(dt time.Duration) {
-	b.thermal.advance(b.cfg.Thermal, 0, dt.Seconds())
-	b.flow(dt.Seconds())
+	secs := dt.Seconds()
+	if b.thermalOn {
+		b.thermal.advance(b.cfg.Thermal, 0, secs)
+	}
+	b.flow(secs)
 }
 
 // flow advances the KiBaM inter-well diffusion and self-discharge by secs
@@ -475,7 +514,6 @@ func (b *Battery) flow(secs float64) {
 	if secs <= 0 {
 		return
 	}
-	kPerSec := b.cfg.K / 3600
 	cap1 := b.cfg.C * b.qMax()
 	cap2 := (1 - b.cfg.C) * b.qMax()
 	// Live aging can shrink capacity below the stored charge; the
@@ -485,19 +523,19 @@ func (b *Battery) flow(secs float64) {
 		b.q1 *= scale
 		b.q2 *= scale
 	}
-	steps := int(math.Ceil(secs * kPerSec / 0.1))
-	if steps < 1 {
-		steps = 1
+	if secs != b.flowSecs {
+		b.flowSecs = secs
+		b.flowSteps = max(1, int(math.Ceil(secs*b.kPerSec/0.1)))
+		b.flowH = secs / float64(b.flowSteps)
 	}
-	h := secs / float64(steps)
-	leak := b.cfg.SelfDischargePerHour / 3600
-	for s := 0; s < steps; s++ {
+	h, leak := b.flowH, b.leakPerSec
+	for s := 0; s < b.flowSteps; s++ {
 		h1 := b.q1 / cap1
 		h2 := b.q2 / cap2
-		dq := kPerSec * (h2 - h1) * h * math.Min(cap1, cap2)
+		dq := b.kPerSec * (h2 - h1) * h * min(cap1, cap2)
 		// Transfer bound charge toward the available well (or back).
 		dq = units.Clamp(dq, -b.q1, b.q2)
-		dq = math.Min(dq, cap1-b.q1)
+		dq = min(dq, cap1-b.q1)
 		b.q1 += dq
 		b.q2 -= dq
 		if leak > 0 {

@@ -59,3 +59,38 @@ func BenchmarkThermalBatteryDischargeStep(b *testing.B) {
 		}
 	}
 }
+
+// The rest benchmarks step an idle device, where self-discharge is the
+// whole cost; the periodic SetSoC keeps the supercap above its window
+// floor so every step takes the same path.
+
+func BenchmarkSupercapRestStep(b *testing.B) {
+	sc := MustNewSupercap(DefaultSupercapConfig())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%3600 == 0 {
+			sc.SetSoC(1)
+		}
+		sc.Rest(time.Second)
+	}
+}
+
+func BenchmarkSupercapChargeStep(b *testing.B) {
+	sc := MustNewSupercap(DefaultSupercapConfig())
+	sc.SetSoC(0.2)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if sc.Charge(200, time.Second) <= 0 {
+			sc.SetSoC(0.2)
+		}
+	}
+}
+
+func BenchmarkBatteryRestStep(b *testing.B) {
+	bat := MustNewBattery(DefaultBatteryConfig())
+	bat.SetSoC(0.5)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bat.Rest(time.Second)
+	}
+}

@@ -13,21 +13,20 @@ import (
 // how paralleled strings share current in practice: a sagging string
 // naturally carries less.
 //
-// Internally the pool keeps a struct-of-arrays view of its members: the
-// concrete batteries and supercaps are resolved once at construction into
-// index-aligned typed slices, so the per-step hot path (capability scan,
-// proportional split, dispatch) runs as direct calls over dense arrays
-// instead of interface dispatch, and the capability scratch is pool-owned
-// rather than allocated per call. Member order is preserved everywhere, so
-// the floating-point summation order — and therefore every simulation
-// result — is bit-identical to the naive per-device loop.
+// The concrete batteries and supercaps are resolved once at construction
+// into index-aligned typed slices, so the per-step hot path (capability
+// scan, proportional split, dispatch) makes direct calls instead of
+// interface dispatch, and the capability scratch is pool-owned rather than
+// allocated per call. Member order is preserved everywhere, so the
+// floating-point summation order — and therefore every simulation result —
+// is bit-identical to the naive per-device loop.
 type Pool struct {
 	name    string
 	members []Device
 
-	// SoA views, index-aligned with members: bat[i]/sc[i] is non-nil when
-	// members[i] is of that concrete type. A foreign Device implementation
-	// leaves both nil and falls back to interface dispatch.
+	// Typed member views, index-aligned with members: bat[i]/sc[i] is
+	// non-nil when members[i] is of that concrete type. A foreign Device
+	// implementation leaves both nil and falls back to interface dispatch.
 	bat []*Battery
 	sc  []*Supercap
 
@@ -333,7 +332,8 @@ func (p *Pool) Charge(offered units.Power, dt time.Duration) units.Power {
 // capability, so no member is asked for more than it can serve and every
 // member is dispatched exactly once per step (keeping recovery and leakage
 // time in sync across the pool). It is the pool's hot path: one capability
-// pass and one dispatch pass over the SoA views, zero allocations.
+// pass and one dispatch pass over the typed member slices, zero
+// allocations.
 func (p *Pool) transfer(total units.Power, dt time.Duration, discharge bool) units.Power {
 	caps := p.caps
 	var capSum units.Power

@@ -85,6 +85,15 @@ type Supercap struct {
 	failed bool
 
 	stats Stats
+
+	// vFloor is the lowest voltage the DoD window permits: the voltage
+	// at which stored usable energy is (1-DoD) of the full window. It
+	// depends only on cfg, which never changes after NewSupercap.
+	vFloor float64
+	// leakSecs and leakFactor memoize the self-discharge voltage factor
+	// √((1-r)^(secs/3600)) for the last step length. Derived state: not
+	// checkpointed, and valid across Reset and Restore.
+	leakSecs, leakFactor float64
 }
 
 var _ Device = (*Supercap)(nil)
@@ -94,7 +103,9 @@ func NewSupercap(cfg SupercapConfig) (*Supercap, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Supercap{cfg: cfg}
+	vmax, vmin := float64(cfg.VMax), float64(cfg.VMin)
+	e := (1 - cfg.DoD) * (vmax*vmax - vmin*vmin)
+	s := &Supercap{cfg: cfg, vFloor: math.Sqrt(vmin*vmin + e)}
 	s.Reset()
 	return s, nil
 }
@@ -111,17 +122,9 @@ func MustNewSupercap(cfg SupercapConfig) *Supercap {
 // Config returns the bank's configuration.
 func (s *Supercap) Config() SupercapConfig { return s.cfg }
 
-// vFloor is the lowest voltage the DoD window permits: the voltage at
-// which stored usable energy is (1-DoD) of the full window.
-func (s *Supercap) vFloor() float64 {
-	vmax, vmin := float64(s.cfg.VMax), float64(s.cfg.VMin)
-	e := (1 - s.cfg.DoD) * (vmax*vmax - vmin*vmin)
-	return math.Sqrt(vmin*vmin + e)
-}
-
 // SoC is the usable-window state of charge (energy-based).
 func (s *Supercap) SoC() float64 {
-	vmax, vf := float64(s.cfg.VMax), s.vFloor()
+	vmax, vf := float64(s.cfg.VMax), s.vFloor
 	den := vmax*vmax - vf*vf
 	if den <= 0 {
 		return 0
@@ -138,7 +141,7 @@ func (s *Supercap) TerminalVoltage(p units.Power) units.Voltage {
 	if p <= 0 {
 		return units.Voltage(s.v)
 	}
-	pw := math.Min(float64(p), float64(s.MaxDischargePower()))
+	pw := min(float64(p), float64(s.MaxDischargePower()))
 	i := solveDischargeCurrent(pw, s.v, s.cfg.ESR)
 	return units.Voltage(s.v - i*s.cfg.ESR)
 }
@@ -148,7 +151,7 @@ func (s *Supercap) Stored() units.Energy {
 	if s.failed {
 		return 0
 	}
-	vf := s.vFloor()
+	vf := s.vFloor
 	if s.v <= vf {
 		return 0
 	}
@@ -157,7 +160,7 @@ func (s *Supercap) Stored() units.Energy {
 
 // Capacity returns the usable energy window.
 func (s *Supercap) Capacity() units.Energy {
-	vmax, vf := float64(s.cfg.VMax), s.vFloor()
+	vmax, vf := float64(s.cfg.VMax), s.vFloor
 	return units.Energy(0.5 * s.cfg.Capacitance * (vmax*vmax - vf*vf))
 }
 
@@ -183,7 +186,7 @@ func (s *Supercap) MaxDischargePower() units.Power {
 	}
 	p := s.v * s.v / (4 * s.cfg.ESR)
 	if s.cfg.MaxPower > 0 {
-		p = math.Min(p, float64(s.cfg.MaxPower))
+		p = min(p, float64(s.cfg.MaxPower))
 	}
 	return units.Power(p)
 }
@@ -201,7 +204,7 @@ func (s *Supercap) MaxChargePower() units.Power {
 	head := 0.5 * s.cfg.Capacitance * (vmax*vmax - s.v*s.v)
 	p := head
 	if s.cfg.MaxPower > 0 {
-		p = math.Min(p, float64(s.cfg.MaxPower))
+		p = min(p, float64(s.cfg.MaxPower))
 	}
 	return units.Power(p)
 }
@@ -217,9 +220,9 @@ func (s *Supercap) Discharge(req units.Power, dt time.Duration) units.Power {
 	}
 	p := float64(req)
 	if s.cfg.MaxPower > 0 {
-		p = math.Min(p, float64(s.cfg.MaxPower))
+		p = min(p, float64(s.cfg.MaxPower))
 	}
-	vf := s.vFloor()
+	vf := s.vFloor
 	var delivered, loss float64
 	steps := subSteps(secs)
 	h := secs / float64(steps)
@@ -227,7 +230,7 @@ func (s *Supercap) Discharge(req units.Power, dt time.Duration) units.Power {
 		i := solveDischargeCurrent(p, s.v, s.cfg.ESR)
 		// Don't let this sub-step take the voltage below the floor.
 		iMax := (s.v - vf) * s.cfg.Capacitance / h
-		i = math.Min(i, iMax)
+		i = min(i, iMax)
 		if i <= 0 {
 			break
 		}
@@ -243,7 +246,7 @@ func (s *Supercap) Discharge(req units.Power, dt time.Duration) units.Power {
 	s.stats.Loss += units.Energy(loss)
 	s.stats.DischargeTime += dt
 	s.leak(secs)
-	return units.Energy(delivered).Per(dt)
+	return units.Power(delivered / secs)
 }
 
 // Charge accepts up to offered watts for dt and returns the input power
@@ -256,7 +259,7 @@ func (s *Supercap) Charge(offered units.Power, dt time.Duration) units.Power {
 	}
 	p := float64(offered)
 	if s.cfg.MaxPower > 0 {
-		p = math.Min(p, float64(s.cfg.MaxPower))
+		p = min(p, float64(s.cfg.MaxPower))
 	}
 	vmax := float64(s.cfg.VMax)
 	var input, stored float64
@@ -265,7 +268,7 @@ func (s *Supercap) Charge(offered units.Power, dt time.Duration) units.Power {
 	for st := 0; st < steps && s.v < vmax; st++ {
 		i := solveChargeCurrent(p, s.v, s.cfg.ESR)
 		iMax := (vmax - s.v) * s.cfg.Capacitance / h
-		i = math.Min(i, iMax)
+		i = min(i, iMax)
 		if i <= 0 {
 			break
 		}
@@ -277,7 +280,7 @@ func (s *Supercap) Charge(offered units.Power, dt time.Duration) units.Power {
 	s.stats.EnergyIn += units.Energy(input)
 	s.stats.Loss += units.Energy(input - stored)
 	s.leak(secs)
-	return units.Energy(input).Per(dt)
+	return units.Power(input / secs)
 }
 
 // Rest applies only self-discharge.
@@ -289,8 +292,11 @@ func (s *Supercap) leak(secs float64) {
 	}
 	before := float64(s.Stored())
 	// Energy leaks at the configured fraction per hour; V ∝ √E.
-	f := math.Pow(1-s.cfg.SelfDischargePerHour, secs/3600)
-	s.v *= math.Sqrt(f)
+	if secs != s.leakSecs {
+		s.leakSecs = secs
+		s.leakFactor = math.Sqrt(math.Pow(1-s.cfg.SelfDischargePerHour, secs/3600))
+	}
+	s.v *= s.leakFactor
 	vmin := float64(s.cfg.VMin)
 	if s.v < vmin {
 		s.v = vmin
@@ -315,7 +321,7 @@ func (s *Supercap) Reset() {
 // [0,1]) without touching the energy ledger — an experiment-setup hook.
 func (s *Supercap) SetSoC(frac float64) {
 	frac = units.Clamp(frac, 0, 1)
-	vmax, vf := float64(s.cfg.VMax), s.vFloor()
+	vmax, vf := float64(s.cfg.VMax), s.vFloor
 	s.v = math.Sqrt(vf*vf + frac*(vmax*vmax-vf*vf))
 }
 

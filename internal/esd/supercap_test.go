@@ -196,8 +196,8 @@ func TestSupercapDoDWindow(t *testing.T) {
 	for i := 0; i < 7200 && !s.Depleted(); i++ {
 		s.Discharge(300, time.Second)
 	}
-	if v := float64(s.Voltage()); v < s.vFloor()-0.1 {
-		t.Errorf("voltage %g fell below DoD floor %g", v, s.vFloor())
+	if v := float64(s.Voltage()); v < s.vFloor-0.1 {
+		t.Errorf("voltage %g fell below DoD floor %g", v, s.vFloor)
 	}
 }
 
@@ -306,7 +306,7 @@ func TestSupercapProbeAvailClampsAtEmpty(t *testing.T) {
 		t.Fatal("supercap never depleted")
 	}
 	s.Rest(48 * time.Hour)
-	if v, vf := float64(s.Voltage()), s.vFloor(); v >= vf {
+	if v, vf := float64(s.Voltage()), s.vFloor; v >= vf {
 		t.Fatalf("leak did not rest voltage (%g V) below the window floor (%g V); test lost its point", v, vf)
 	}
 	snap := s.ProbeSnapshot()

@@ -74,6 +74,10 @@ func (c ThermalConfig) Enabled() bool {
 type thermalState struct {
 	tempC float64
 	peakC float64
+
+	// alphaSecs and alpha memoize the relaxation factor 1-e^(-secs/τ) for
+	// the last step length; derived state, never checkpointed.
+	alphaSecs, alpha float64
 }
 
 func newThermalState(cfg ThermalConfig) thermalState {
@@ -86,9 +90,12 @@ func (t *thermalState) advance(cfg ThermalConfig, dissipated, secs float64) {
 	if !cfg.Enabled() || secs <= 0 {
 		return
 	}
-	target := cfg.AmbientC + math.Max(0, dissipated)*cfg.ThermalResistance
-	alpha := 1 - math.Exp(-secs/cfg.TimeConstantSeconds)
-	t.tempC += (target - t.tempC) * alpha
+	target := cfg.AmbientC + max(0, dissipated)*cfg.ThermalResistance
+	if secs != t.alphaSecs {
+		t.alphaSecs = secs
+		t.alpha = 1 - math.Exp(-secs/cfg.TimeConstantSeconds)
+	}
+	t.tempC += (target - t.tempC) * t.alpha
 	if t.tempC > t.peakC {
 		t.peakC = t.tempC
 	}
@@ -123,7 +130,7 @@ func (t *thermalState) wearMultiplier(cfg ThermalConfig) float64 {
 // Thermal reports the battery's present and peak cell temperature in °C
 // (ambient when thermal modelling is disabled).
 func (b *Battery) Thermal() (current, peak float64) {
-	if !b.cfg.Thermal.Enabled() {
+	if !b.thermalOn {
 		return b.cfg.Thermal.AmbientC, b.cfg.Thermal.AmbientC
 	}
 	return b.thermal.tempC, b.thermal.peakC

@@ -56,8 +56,9 @@
 #   - CheckpointEnabled ns/op <= Disabled x 1.2 (overhead target) x the
 #     ns_tol noise allowance. The deterministic columns above are gated
 #     exactly; the ratio shares the wall-clock tolerance because a
-#     single-core box measures 1.25-1.4x for a true ~1.25x (the floor
-#     is strconv shortest-float formatting of the series suffixes).
+#     single-core box measures ~1.45x (the floor is strconv
+#     shortest-float formatting of the series suffixes, against an
+#     uncheckpointed hour the cached esd step constants made fast).
 #   - MultiSeedParallel >= 2x MultiSeedSequential, gated only when the
 #     box has >= 4 CPUs — on fewer the pair is wall-clock identical by
 #     construction and the gate prints a skip note instead.
