@@ -360,21 +360,28 @@ func run(w io.Writer, exp string, p heb.Prototype, duration time.Duration, load 
 	}
 }
 
+// suite is the experiment list -exp all runs, in output order.
+var suite = []string{
+	"table1", "fig1", "fig1b", "fig3", "fig4", "fig5", "fig6",
+	"fig12a", "fig12b", "fig12c", "fig12d",
+	"fig13", "fig14", "fig15a", "fig15b", "fig15c",
+	"deploy", "ablation", "multiseed", "capping", "scale", "summary",
+}
+
 // runAll fans the full experiment suite out on the shared worker pool.
 // Each experiment renders into its own buffer; buffers are printed in
 // suite order once all experiments finish, so the output is byte-for-byte
 // identical for any worker count, and a failure reports the lowest-index
 // failing experiment. Inner sweeps run with a single worker — the suite
 // is already saturating the pool, and nesting would oversubscribe it.
+// The experiments share one heb.RunMemo, so a configuration several
+// figures report is simulated once; runs that are observed (capture,
+// tracer, audits, alerts, profiles) bypass it.
 // Note the scale experiment's steps/s numbers are co-scheduled with the
 // other experiments here; run -exp scale alone for clean throughput.
 func runAll(w io.Writer, p heb.Prototype, duration time.Duration, load units.Power, workers int) error {
-	suite := []string{
-		"table1", "fig1", "fig1b", "fig3", "fig4", "fig5", "fig6",
-		"fig12a", "fig12b", "fig12c", "fig12d",
-		"fig13", "fig14", "fig15a", "fig15b", "fig15c",
-		"deploy", "ablation", "multiseed", "capping", "scale", "summary",
-	}
+	memo := heb.NewRunMemo()
+	p.Memo = memo
 	// Live progress on stderr: the Progress observes the pool and each
 	// simulation run feeds its step count through Prototype.Progress, so
 	// the report shows queue depth, utilization and aggregate steps/s
@@ -415,7 +422,11 @@ func runAll(w io.Writer, p heb.Prototype, duration time.Duration, load units.Pow
 		})
 	close(stop)
 	<-reporterDone
-	fmt.Fprintf(os.Stderr, "hebsim: %s\n", progressLine(prog.Snapshot(), nworkers))
+	line := progressLine(prog.Snapshot(), nworkers)
+	if hits, misses := memo.Stats(); hits+misses > 0 {
+		line += fmt.Sprintf(", %d/%d runs reused", hits, hits+misses)
+	}
+	fmt.Fprintf(os.Stderr, "hebsim: %s\n", line)
 	// Print whatever completed, in suite order, before reporting the
 	// (lowest-index) error: partial output still helps diagnosis.
 	for i, buf := range bufs {

@@ -9,10 +9,10 @@
 package heb
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"time"
 
@@ -187,6 +187,13 @@ type Prototype struct {
 	// runs are filed under; sweeps set it per experiment cell. Empty uses
 	// "run".
 	TraceCell string
+
+	// Memo, when set, lets pure runs (see RunMemo) share one simulation
+	// per distinct configuration: the first run of a configuration
+	// simulates and every later one returns a copy of its result. Nil
+	// (the default) runs every call. Keep this the last field (see
+	// configHash).
+	Memo *RunMemo
 }
 
 // DefaultPrototype returns the paper's Section 6 configuration.
@@ -385,6 +392,15 @@ func (p Prototype) BuildScheme(id SchemeID, scCap, baCap units.Energy) (core.Sch
 	}
 }
 
+// budget is the utility budget a run is fed: the options' override when
+// set, else the prototype's.
+func (p Prototype) budget(opts RunOptions) units.Power {
+	if opts.Budget > 0 {
+		return opts.Budget
+	}
+	return p.Budget
+}
+
 // maxPM is the largest power mismatch the PAT profiles: the cluster
 // peak above the provisioned budget.
 func (p Prototype) maxPM() units.Power {
@@ -471,7 +487,15 @@ func (p Prototype) Run(id SchemeID, workload Workload, opts RunOptions) (sim.Res
 // Run's. worker must be the runner.MapWorkers worker index the call
 // executes on — jobs sharing a worker index never run concurrently, so
 // the cache slot needs no locking. A nil cache is exactly Run.
+//
+// With a Memo on the prototype, a pure run is looked up there first and
+// simulates only on the memo's first request for its configuration.
 func (p Prototype) RunWith(cache *RunCache, worker int, id SchemeID, workload Workload, opts RunOptions) (sim.Result, error) {
+	if key, ok := p.memoKey(id, workload, opts); ok {
+		return p.Memo.get(key, func() (sim.Result, error) {
+			return p.run(id, workload, opts, nil, cache, worker)
+		})
+	}
 	if !prof.Active() {
 		return p.run(id, workload, opts, nil, cache, worker)
 	}
@@ -490,10 +514,7 @@ func (p Prototype) run(id SchemeID, workload Workload, opts RunOptions, profCtx 
 	if err := p.Validate(); err != nil {
 		return sim.Result{}, err
 	}
-	budget := p.Budget
-	if opts.Budget > 0 {
-		budget = opts.Budget
-	}
+	budget := p.budget(opts)
 	// Run-state pooling: a cached runState for this structural
 	// configuration replaces every construction below with a reset.
 	var st *runState
@@ -1015,27 +1036,62 @@ func (p Prototype) run(id SchemeID, workload Workload, opts RunOptions, profCtx 
 // is the same experiment cell, making multi-run artifact files
 // independent of worker scheduling.
 func (p Prototype) runKey(id SchemeID, workload Workload, duration time.Duration, opts RunOptions) string {
-	budget := p.Budget
-	if opts.Budget > 0 {
-		budget = opts.Budget
-	}
+	budget := p.budget(opts)
 	feed := "utility"
 	if opts.Feed != nil {
 		feed = fmt.Sprintf("%T", opts.Feed)
 	}
-	h := fnv.New64a()
-	// Pointer-valued observability fields would hash as addresses, making
-	// keys depend on scheduling; they never influence results, so nil them.
-	q := p
-	q.Capture = nil
-	q.Progress = nil
-	q.Audits = nil
-	q.Alerts = nil
-	q.Tracer = nil
-	fmt.Fprintf(h, "%+v", q)
+	h := newConfigHash()
+	fmt.Fprintf(h, "%+v", p.unwired())
 	fmt.Fprintf(h, "|%T|%T|table=%v", opts.PeakPredictor, opts.ValleyPredictor, opts.Table != nil)
 	return fmt.Sprintf("%s|%s|%s|seed=%d|n=%d|budget=%g|storage=%g|scratio=%g|topo=%d|feed=%s|renew=%v|noise=%g|preage=%g|cfg=%016x",
 		id, workload.Name(), duration, p.Seed, p.NumServers, float64(budget),
 		p.StorageWh, p.SCRatio, int(p.Topology), feed, opts.Renewable,
-		p.SensorNoise, p.BatteryPreAge, h.Sum64())
+		p.SensorNoise, p.BatteryPreAge, uint64(*h))
+}
+
+// unwired returns p with its per-run wiring cleared: the observability
+// sinks and the memo. They never influence results, and pointers would
+// render as addresses, making keys depend on scheduling. The run, pool
+// and memo keys all start from it.
+func (p Prototype) unwired() Prototype {
+	p.Capture = nil
+	p.Progress = nil
+	p.Audits = nil
+	p.Alerts = nil
+	p.Tracer = nil
+	p.Memo = nil
+	return p
+}
+
+// configHash is 64-bit FNV-1a, the hash/fnv New64a algorithm, over the
+// %+v rendering of an unwired prototype: the cfg= field of run and pool
+// keys. Run keys predate the Memo field, so a write that ends in the nil
+// field's rendering is hashed as if the field were absent, which keeps
+// every run key, and the capture artifacts that carry it, unchanged.
+// fmt hands each formatted operand list to one Write, so the field
+// always arrives at the end of a write.
+type configHash uint64
+
+var nilMemoField = []byte(" Memo:<nil>}")
+
+func newConfigHash() *configHash {
+	h := configHash(14695981039346656037)
+	return &h
+}
+
+// Write implements io.Writer.
+func (h *configHash) Write(b []byte) (int, error) {
+	body, cut := bytes.CutSuffix(b, nilMemoField)
+	for _, c := range body {
+		h.add(c)
+	}
+	if cut {
+		h.add('}')
+	}
+	return len(b), nil
+}
+
+func (h *configHash) add(c byte) {
+	*h = (*h ^ configHash(c)) * 1099511628211
 }

@@ -1,7 +1,9 @@
 package power
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"time"
 
 	"heb/internal/units"
@@ -117,6 +119,19 @@ func (f *TraceFeed) Name() string { return f.name }
 
 // Len returns the number of samples.
 func (f *TraceFeed) Len() int { return len(f.samples) }
+
+// AppendContent appends the feed's exact content to b: its name, step
+// and the bits of every sample. Two feeds with equal content replay the
+// same availability, so callers may key results on it.
+func (f *TraceFeed) AppendContent(b []byte) []byte {
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(f.name)))
+	b = append(b, f.name...)
+	b = binary.LittleEndian.AppendUint64(b, uint64(f.step))
+	for _, s := range f.samples {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(float64(s)))
+	}
+	return b
+}
 
 // Duration returns the trace's covered time span.
 func (f *TraceFeed) Duration() time.Duration {

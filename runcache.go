@@ -2,7 +2,6 @@ package heb
 
 import (
 	"fmt"
-	"hash/fnv"
 
 	"heb/internal/core"
 	"heb/internal/esd"
@@ -118,16 +117,11 @@ func (c *RunCache) store(worker int, key string, st *runState) {
 // equal pool keys build identical component graphs, so one's reset
 // state can serve the other.
 func (p Prototype) poolKey(id SchemeID, budget units.Power) string {
-	q := p
-	q.Capture = nil
-	q.Progress = nil
-	q.Audits = nil
-	q.Alerts = nil
-	q.Tracer = nil
+	q := p.unwired()
 	q.Seed = 0
-	h := fnv.New64a()
+	h := newConfigHash()
 	fmt.Fprintf(h, "%+v", q)
-	return fmt.Sprintf("%s|budget=%g|cfg=%016x", id, float64(budget), h.Sum64())
+	return fmt.Sprintf("%s|budget=%g|cfg=%016x", id, float64(budget), uint64(*h))
 }
 
 // poolable reports whether a run may go through the cache: options that

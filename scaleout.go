@@ -64,6 +64,9 @@ func ScaleOutStudy(p Prototype, factors []int, duration time.Duration) ([]ScaleP
 			pp.StorageWh = p.StorageWh * float64(f)
 			pp.BatteryStrings = p.BatteryStrings * f
 			pp.SCBanks = p.SCBanks * f
+			// The study times its runs, so a memoized result would
+			// report no wall time.
+			pp.Memo = nil
 
 			w, err := WorkloadNamed("PR")
 			if err != nil {

@@ -39,7 +39,17 @@
 # run state rides sync.Pools the GC is free to clear mid-run) and the
 # Prof pair (runtime/pprof sampling buffers grow with nondeterministic
 # sample counts) wobble by one or two allocs across runs — they get a
-# small absolute slack instead. When BENCH_prof.json is committed, -check additionally re-runs
+# small absolute slack instead. The checkpoint pair
+# (BenchmarkEngineCheckpointEnabled, BenchmarkCheckpointDelta) is exact
+# too, but measured apart. Each GC cycle inside the timed loop costs the
+# pair ~9 allocs of sync.Pool refills (fmt, encoding/json, ckptBufPool);
+# at a time-based iteration count a cycle lands every ~9 runs, so the
+# mean sits within a few hundredths of an integer and go test's
+# truncated allocs/op flips with GC timing. The pair therefore runs in a
+# process of its own at a fixed -benchtime 20x: the timed loop starts
+# right after testing's runtime.GC(), with the same heap and the same
+# number of runs every time, so the same cycles fall inside it.
+# When BENCH_prof.json is committed, -check additionally re-runs
 # the engine memprofile and gates its frame shares through `hebprof
 # check` (new frames >= 3% flat, known frames grown past 1.5x fail).
 # Exits non-zero on any violation.
@@ -172,9 +182,16 @@ compare() {
 	' "$1" "$2"
 }
 
+# run_set PATTERN OUT [FIXED_PATTERN] measures PATTERN, plus FIXED_PATTERN
+# at -benchtime $ckpt_runs in a process of its own, and writes or checks
+# OUT.
+ckpt_runs=20x
 run_set() {
-	local pattern="$1" out="$2"
+	local pattern="$1" out="$2" fixed="${3:-}"
 	go test -run '^$' -bench "$pattern" -benchmem -count=1 . | tee "$raw"
+	if [[ -n "$fixed" ]]; then
+		go test -run '^$' -bench "$fixed" -benchmem -count=1 -benchtime "$ckpt_runs" . | tee -a "$raw"
+	fi
 	cat "$raw" >>"$scratch/all_raw.txt"
 	if [[ "$check" == 1 ]]; then
 		local cur
@@ -194,7 +211,8 @@ run_set() {
 }
 
 run_set 'BenchmarkMultiSeedSequential|BenchmarkMultiSeedParallel|BenchmarkEngineStep$|BenchmarkEngineReuse$' "$sweep_out"
-run_set 'BenchmarkEngineObsDisabled|BenchmarkEngineObsEnabled|BenchmarkEngineProbesDisabled|BenchmarkEngineProbesEnabled|BenchmarkEngineCheckpointDisabled|BenchmarkEngineCheckpointEnabled|BenchmarkCheckpointDelta$|BenchmarkEngineManifestDisabled|BenchmarkEngineManifestEnabled|BenchmarkEngineAlertsDisabled|BenchmarkEngineAlertsEnabled|BenchmarkEngineProfDisabled|BenchmarkEngineProfEnabled' "$obs_out"
+run_set 'BenchmarkEngineObsDisabled|BenchmarkEngineObsEnabled|BenchmarkEngineProbesDisabled|BenchmarkEngineProbesEnabled|BenchmarkEngineCheckpointDisabled|BenchmarkEngineManifestDisabled|BenchmarkEngineManifestEnabled|BenchmarkEngineAlertsDisabled|BenchmarkEngineAlertsEnabled|BenchmarkEngineProfDisabled|BenchmarkEngineProfEnabled' "$obs_out" \
+	'BenchmarkEngineCheckpointEnabled|BenchmarkCheckpointDelta$'
 
 # Target gates (see header): absolute holds on the measured run, applied
 # over the raw benchmark output of both sets so they bind even as the

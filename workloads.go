@@ -82,6 +82,15 @@ func (w Workload) Class() (workload.Class, bool) {
 	return w.spec.Class, true
 }
 
+// genDuration is the length a spec-backed workload's trace is generated
+// at.
+func (w Workload) genDuration() time.Duration {
+	if w.duration <= 0 {
+		return 2 * time.Hour
+	}
+	return w.duration
+}
+
 // traceGenStep is the sample grid workload traces are generated at.
 // Generating at a 10-second grid keeps memory modest; the engine's At()
 // lookup interpolates by zero-order hold at its own step.
@@ -104,10 +113,7 @@ func (w Workload) Trace(p Prototype) (*trace.Trace, error) {
 	if w.spec == nil {
 		return nil, fmt.Errorf("heb: empty workload")
 	}
-	d := w.duration
-	if d <= 0 {
-		d = 2 * time.Hour
-	}
+	d := w.genDuration()
 	key := traceKey{spec: *w.spec, seed: p.Seed, servers: p.NumServers, duration: d, step: traceGenStep}
 	return sharedTraceCache.get(key, func() (*trace.Trace, error) {
 		return w.spec.Generate(p.Seed, p.NumServers, d, traceGenStep)
