@@ -40,7 +40,11 @@ type runCheckpointDelta struct {
 // checkpoint, tagged with the "<key>@base" splice offsets that
 // obs.MaterializeAt understands. The suffix fields drop omitempty so an
 // idle slot still records its splice point. The probe rings are bounded
-// (old samples are overwritten in place), so they travel in full.
+// (old samples are overwritten in place), so every record carries them
+// whole, but the checkpoint writer re-marshals none of that: it splices
+// the recorder's memoized encoding (obs.ProbeRecorder.AppendStateJSON) in
+// as the last field, which is why Probes must stay last here and in
+// runObsState. The field itself serves the resume path's decoding.
 type runObsDelta struct {
 	Events        []obs.Event             `json:"events"`
 	EventsBase    int                     `json:"events@base"`

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
@@ -172,12 +171,11 @@ func newCheckpointAppender(path string, resume bool, groupRun string) (func(obs.
 	if err != nil {
 		return nil, fmt.Errorf("flight recorder: %w", err)
 	}
-	enc := json.NewEncoder(f)
 	return func(r obs.CheckpointRecord) {
 		if r.Run == "" {
 			r.Run = groupRun
 		}
-		if err := enc.Encode(r); err != nil {
+		if err := obs.WriteCheckpointsJSONL(f, []obs.CheckpointRecord{r}); err != nil {
 			slog.Warn("write checkpoint failed", "err", err)
 		}
 	}, nil

@@ -2,6 +2,7 @@ package heb
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -309,5 +310,51 @@ func TestResumeRejectsUncheckpointedObservers(t *testing.T) {
 	withAudit.Audit = obs.AuditModeReport
 	if _, err := withAudit.Run(HEBD, wl, RunOptions{Duration: d, ResumeCheckpoints: records}); err == nil {
 		t.Error("resume with the energy auditor should fail")
+	}
+}
+
+// TestCheckpointRecordsMatchMarshal pins the stitched checkpoint record
+// to the structs the resume path decodes: each record's state equals
+// json.Marshal of its runCheckpointState (keyframe) or runCheckpointDelta
+// (delta) decoding, probe rings spliced in last included. It covers a run
+// with a capture and a probed run without one, whose keyframe obs object
+// holds nothing but the probe rings.
+func TestCheckpointRecordsMatchMarshal(t *testing.T) {
+	const d = 2 * time.Hour
+	pr, err := WorkloadNamed("PR")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, withCapture := range []bool{true, false} {
+		p := flightProto(7)
+		if !withCapture {
+			p.Capture = nil
+		}
+		var records []obs.CheckpointRecord
+		if _, err := p.Run(HEBD, pr.WithDuration(d), RunOptions{
+			Duration:       d,
+			CheckpointSink: func(r obs.CheckpointRecord) { records = append(records, r) },
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(records) < obs.DefaultKeyframeEvery+1 {
+			t.Fatalf("capture %v: %d records, want a keyframe and deltas", withCapture, len(records))
+		}
+		for i, r := range records {
+			var doc any = &runCheckpointState{}
+			if r.Delta {
+				doc = &runCheckpointDelta{}
+			}
+			if err := json.Unmarshal(r.State, doc); err != nil {
+				t.Fatalf("capture %v, record %d: %v", withCapture, i, err)
+			}
+			want, err := json.Marshal(doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(r.State, want) {
+				t.Fatalf("capture %v, record %d (delta %v): stitched state differs from json.Marshal", withCapture, i, r.Delta)
+			}
+		}
 	}
 }

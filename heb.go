@@ -706,6 +706,14 @@ func (p Prototype) run(id SchemeID, workload Workload, opts RunOptions, profCtx 
 			})
 		}
 		defer ckptDrain()
+		// ckptProbes is the engine goroutine's scratch buffer for the
+		// probe rings' encoding, reused across records. Only probed runs
+		// allocate it: checkpointFn captures the never-reassigned pointer
+		// by value, so a run without probes pays no allocation for it.
+		var ckptProbes *[]byte
+		if probes != nil {
+			ckptProbes = new([]byte)
+		}
 		checkpointFn = func(slot, step int, now time.Duration, state []byte) {
 			// The engine consulted checkpointDeltaFn for this same record;
 			// the chain position has not advanced in between, so the
@@ -716,8 +724,12 @@ func (p Prototype) run(id SchemeID, workload Workload, opts RunOptions, profCtx 
 			// json.RawMessage field — Marshal would re-scan (compact) the
 			// whole payload on every record. The stitched bytes match what
 			// marshaling runCheckpointState/runCheckpointDelta produces, and
-			// the resume path still decodes through those types.
-			var obsRaw []byte
+			// the resume path still decodes through those types. The probe
+			// rings are stitched in the same way, as the obs object's last
+			// field (where both structs declare Probes), from the
+			// recorder's memoized encoding: only the samples recorded since
+			// the previous record are marshaled.
+			var obsRaw, probeRaw []byte
 			var err error
 			if capLog != nil || probes != nil {
 				if delta {
@@ -727,10 +739,6 @@ func (p Prototype) run(id SchemeID, workload Workload, opts RunOptions, profCtx 
 						o.EventsDropped = capLog.Dropped()
 						o.Decisions = capDecisions.RecordsSince(ckptDecisionsBase)
 					}
-					if probes != nil {
-						ps := probes.State()
-						o.Probes = &ps
-					}
 					obsRaw, err = json.Marshal(o)
 				} else {
 					o := &runObsState{}
@@ -739,22 +747,32 @@ func (p Prototype) run(id SchemeID, workload Workload, opts RunOptions, profCtx 
 						o.EventsDropped = capLog.Dropped()
 						o.Decisions = capDecisions.Records()
 					}
-					if probes != nil {
-						ps := probes.State()
-						o.Probes = &ps
-					}
 					obsRaw, err = json.Marshal(o)
+				}
+				if err == nil && probes != nil {
+					probeRaw, err = probes.AppendStateJSON((*ckptProbes)[:0])
+					*ckptProbes = probeRaw
 				}
 				if err != nil {
 					panic(fmt.Sprintf("heb: marshal checkpoint: %v", err))
 				}
 			}
-			raw := make([]byte, 0, len(`{"engine":`)+len(state)+len(`,"obs":`)+len(obsRaw)+1)
+			raw := make([]byte, 0, len(`{"engine":`)+len(state)+len(`,"obs":`)+len(obsRaw)+len(`,"probes":`)+len(probeRaw)+1)
 			raw = append(raw, `{"engine":`...)
 			raw = append(raw, state...)
 			if obsRaw != nil {
 				raw = append(raw, `,"obs":`...)
-				raw = append(raw, obsRaw...)
+				if probeRaw != nil {
+					raw = append(raw, obsRaw[:len(obsRaw)-1]...)
+					if len(obsRaw) > len(`{}`) {
+						raw = append(raw, ',')
+					}
+					raw = append(raw, `"probes":`...)
+					raw = append(raw, probeRaw...)
+					raw = append(raw, '}')
+				} else {
+					raw = append(raw, obsRaw...)
+				}
 			}
 			raw = append(raw, '}')
 			if capLog != nil {

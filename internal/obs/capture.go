@@ -2,8 +2,10 @@ package obs
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -142,6 +144,13 @@ func (c *Capture) Contribute(a RunArtifact) {
 
 // Runs returns the contributed artifacts sorted into output order.
 func (c *Capture) Runs() []RunArtifact {
+	runs, _ := c.sortedRuns()
+	return runs
+}
+
+// sortedRuns returns the contributed artifacts in output order together
+// with their content fingerprints (artifactFingerprint), index for index.
+func (c *Capture) sortedRuns() ([]RunArtifact, []string) {
 	c.mu.Lock()
 	out := append([]RunArtifact(nil), c.runs...)
 	c.mu.Unlock()
@@ -163,10 +172,12 @@ func (c *Capture) Runs() []RunArtifact {
 		return fps[i] < fps[j]
 	})
 	sorted := make([]RunArtifact, len(out))
+	sortedFps := make([]string, len(out))
 	for k, i := range idx {
 		sorted[k] = out[i]
+		sortedFps[k] = fps[i]
 	}
-	return sorted
+	return sorted, sortedFps
 }
 
 // artifactFingerprint summarizes an artifact's full simulated content —
@@ -223,9 +234,11 @@ func sortedMetricKeys(m map[string]float64) []string {
 
 // Registry renders the capture's deterministic counters into a fresh
 // metrics registry using the heb_<subsystem>_<name>_<unit> naming scheme.
-func (c *Capture) Registry() *Registry {
+func (c *Capture) Registry() *Registry { return registryOf(c.Runs()) }
+
+// registryOf renders runs, already in output order, into a registry.
+func registryOf(runs []RunArtifact) *Registry {
 	reg := NewRegistry()
-	runs := c.Runs()
 	reg.Counter("heb_capture_runs_total", "Runs contributing to this capture.").Add(float64(len(runs)))
 	for _, a := range runs {
 		reg.Counter("heb_engine_steps_total", "Simulation steps executed.").Add(float64(a.Steps))
@@ -287,76 +300,102 @@ func (c *Capture) WriteFiles(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("obs: capture dir: %w", err)
 	}
-	runs := c.Runs()
-
-	var events []Event
-	var decisions []DecisionRecord
-	var probes []ProbeSample
-	var audits []AuditReport
-	var checkpoints []CheckpointRecord
-	var alertEvents []alerts.Event
-	for _, a := range runs {
-		events = append(events, a.Events...)
-		decisions = append(decisions, a.Decisions...)
-		probes = append(probes, a.Probes...)
-		if a.Audit != nil {
-			audits = append(audits, *a.Audit)
+	runs, fps := c.sortedRuns()
+	shares, err := writeJSONL(runs, func(name string) (io.WriteCloser, error) {
+		f, err := os.Create(filepath.Join(dir, name))
+		if err != nil {
+			return nil, fmt.Errorf("obs: %w", err)
 		}
-		checkpoints = append(checkpoints, a.Checkpoints...)
-		alertEvents = append(alertEvents, a.AlertEvents...)
-	}
-
-	if err := writeTo(filepath.Join(dir, "events.jsonl"), func(f *os.File) error {
-		return WriteEventsJSONL(f, events)
-	}); err != nil {
+		return f, nil
+	})
+	if err != nil {
 		return err
-	}
-	if err := writeTo(filepath.Join(dir, "decisions.jsonl"), func(f *os.File) error {
-		return WriteDecisionsJSONL(f, decisions)
-	}); err != nil {
-		return err
-	}
-	if len(probes) > 0 {
-		if err := writeTo(filepath.Join(dir, "probes.jsonl"), func(f *os.File) error {
-			return WriteProbesJSONL(f, probes)
-		}); err != nil {
-			return err
-		}
-	}
-	if len(audits) > 0 {
-		if err := writeTo(filepath.Join(dir, "audits.jsonl"), func(f *os.File) error {
-			return WriteAuditsJSONL(f, audits)
-		}); err != nil {
-			return err
-		}
-	}
-	if len(checkpoints) > 0 {
-		if err := writeTo(filepath.Join(dir, "checkpoints.jsonl"), func(f *os.File) error {
-			return WriteCheckpointsJSONL(f, checkpoints)
-		}); err != nil {
-			return err
-		}
-	}
-	if len(alertEvents) > 0 {
-		if err := writeTo(filepath.Join(dir, "alerts.jsonl"), func(f *os.File) error {
-			return alerts.WriteEventsJSONL(f, alertEvents)
-		}); err != nil {
-			return err
-		}
 	}
 	if err := writeTo(filepath.Join(dir, "metrics.prom"), func(f *os.File) error {
-		return c.Registry().WritePrometheus(f)
+		return registryOf(runs).WritePrometheus(f)
 	}); err != nil {
 		return err
 	}
 
-	manifest := c.BuildManifest()
+	manifest := c.manifest(runs, fps, shares)
 	inv, err := inventory(dir, ArtifactNames)
 	if err != nil {
 		return err
 	}
 	manifest.Artifacts = inv
 	return WriteManifest(dir, manifest)
+}
+
+// jsonlArtifacts lists the capture's JSONL files in write order, each
+// with the test for whether a run contributes to it and the writer of one
+// run's slice. events.jsonl and decisions.jsonl are written even when
+// empty; the rest only when some run has content for them.
+var jsonlArtifacts = []struct {
+	name  string
+	has   func(RunArtifact) bool
+	write func(io.Writer, RunArtifact) error
+}{
+	{"events.jsonl", nil, func(w io.Writer, a RunArtifact) error { return WriteEventsJSONL(w, a.Events) }},
+	{"decisions.jsonl", nil, func(w io.Writer, a RunArtifact) error { return WriteDecisionsJSONL(w, a.Decisions) }},
+	{"probes.jsonl",
+		func(a RunArtifact) bool { return len(a.Probes) > 0 },
+		func(w io.Writer, a RunArtifact) error { return WriteProbesJSONL(w, a.Probes) }},
+	{"audits.jsonl",
+		func(a RunArtifact) bool { return a.Audit != nil },
+		func(w io.Writer, a RunArtifact) error {
+			if a.Audit == nil {
+				return nil
+			}
+			return WriteAuditsJSONL(w, []AuditReport{*a.Audit})
+		}},
+	{"checkpoints.jsonl",
+		func(a RunArtifact) bool { return len(a.Checkpoints) > 0 },
+		func(w io.Writer, a RunArtifact) error { return WriteCheckpointsJSONL(w, a.Checkpoints) }},
+	{"alerts.jsonl",
+		func(a RunArtifact) bool { return len(a.AlertEvents) > 0 },
+		func(w io.Writer, a RunArtifact) error { return alerts.WriteEventsJSONL(w, a.AlertEvents) }},
+}
+
+// writeJSONL encodes each JSONL artifact once, run by run in output
+// order, into the writer create opens for it, and returns every run's
+// share of the bytes written. The shares are the manifest's per-run
+// Bytes, so they come from the same encoding that lands in the files.
+func writeJSONL(runs []RunArtifact, create func(name string) (io.WriteCloser, error)) ([]int64, error) {
+	shares := make([]int64, len(runs))
+	for _, art := range jsonlArtifacts {
+		if art.has != nil && !slices.ContainsFunc(runs, art.has) {
+			continue
+		}
+		f, err := create(art.name)
+		if err != nil {
+			return nil, err
+		}
+		cw := &countingWriter{w: f}
+		for i, a := range runs {
+			before := cw.n
+			if err := art.write(cw, a); err != nil {
+				f.Close()
+				return nil, err
+			}
+			shares[i] += cw.n - before
+		}
+		if err := f.Close(); err != nil {
+			return nil, fmt.Errorf("obs: close %s: %w", art.name, err)
+		}
+	}
+	return shares, nil
+}
+
+// countingWriter passes writes through to w, counting the bytes.
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	n, err := w.w.Write(p)
+	w.n += int64(n)
+	return n, err
 }
 
 // ArtifactNames lists every capture-owned artifact file a manifest may

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -189,8 +190,41 @@ func WriteCheckpointsJSONL(w io.Writer, records []CheckpointRecord) error {
 }
 
 // ReadCheckpoints parses a JSONL stream written by WriteCheckpointsJSONL.
+//
+// It reads one line at a time. A line in the exact layout
+// WriteCheckpointsJSONL emits (see canonicalCheckpoint) is parsed in one
+// scan of its state payload. From the first line of any other shape on,
+// the rest of the stream goes through json.Decoder, so the reader accepts
+// and rejects exactly the streams a json.Decoder loop does, and returns
+// the same records.
 func ReadCheckpoints(r io.Reader) ([]CheckpointRecord, error) {
 	var out []CheckpointRecord
+	br := bufio.NewReaderSize(r, 64<<10)
+	var line []byte
+	for {
+		var err error
+		line, err = readLine(br, line[:0])
+		if err == nil {
+			if rec, ok := canonicalCheckpoint(line); ok {
+				out = append(out, rec)
+				continue
+			}
+		}
+		if err == io.EOF && len(line) == 0 {
+			return out, nil
+		}
+		// Hand the decoder this line and everything after it, ending the
+		// way the stream ended.
+		rest := io.Reader(br)
+		if err != nil {
+			rest = errReader{err}
+		}
+		return decodeCheckpoints(out, io.MultiReader(bytes.NewReader(line), rest))
+	}
+}
+
+// decodeCheckpoints appends the records json.Decoder reads from r to out.
+func decodeCheckpoints(out []CheckpointRecord, r io.Reader) ([]CheckpointRecord, error) {
 	dec := json.NewDecoder(r)
 	for {
 		var rec CheckpointRecord
@@ -202,6 +236,164 @@ func ReadCheckpoints(r io.Reader) ([]CheckpointRecord, error) {
 		out = append(out, rec)
 	}
 }
+
+// readLine appends br's next line, newline included, to buf. The error is
+// the one that ended a line without a newline, as bufio.Reader.ReadSlice
+// reports it.
+func readLine(br *bufio.Reader, buf []byte) ([]byte, error) {
+	for {
+		frag, err := br.ReadSlice('\n')
+		buf = append(buf, frag...)
+		if err != bufio.ErrBufferFull {
+			return buf, err
+		}
+	}
+}
+
+// errReader returns err from every Read.
+type errReader struct{ err error }
+
+func (r errReader) Read([]byte) (int, error) { return 0, r.err }
+
+// canonicalCheckpoint parses line if it is one record, newline-terminated,
+// in the layout json.Encoder gives a CheckpointRecord:
+//
+//	{"v":N[,"run":S],"slot":N,"step":N,"t":N,"state":X[,"delta":true][,"prev":S],"hash":S}
+//
+// with no whitespace between tokens. The state X is checked once with
+// json.Valid and copied; the header around it is decoded by json.Unmarshal
+// with X replaced by 0. For any other line, or a header Unmarshal rejects,
+// it reports false and leaves the line to json.Decoder.
+//
+// Both ends are found without scanning the state: the header forward, the
+// tail backward from the closing brace. The backward scan accepts tail
+// strings only without '"' or '\\', so each quote it finds delimits a
+// string. A misplaced cut cannot pass: a single JSON value never ends in
+// an unescaped `,"prev":"S"` or `,"delta":true`, so a wrong cut leaves a
+// state that json.Valid rejects.
+func canonicalCheckpoint(line []byte) (CheckpointRecord, bool) {
+	var rec CheckpointRecord
+	n := len(line)
+	if n < 2 || line[n-1] != '\n' {
+		return rec, false
+	}
+	body := line[:n-1]
+	p, ok := canonicalHead(body)
+	if !ok {
+		return rec, false
+	}
+	q, ok := canonicalTail(body)
+	if !ok || q <= p {
+		return rec, false
+	}
+	state := body[p:q]
+	if isJSONSpace(state[0]) || isJSONSpace(state[len(state)-1]) || !json.Valid(state) {
+		return rec, false
+	}
+	hdr := make([]byte, 0, len(body)-len(state)+1)
+	hdr = append(append(append(hdr, body[:p]...), '0'), body[q:]...)
+	if err := json.Unmarshal(hdr, &rec); err != nil {
+		return rec, false
+	}
+	rec.State = append(json.RawMessage(nil), state...)
+	return rec, true
+}
+
+// canonicalHead matches `{"v":N[,"run":S],"slot":N,"step":N,"t":N,"state":`
+// at the start of b and returns the offset just past it. Numbers and the
+// run string are only delimited here; json.Unmarshal validates them.
+func canonicalHead(b []byte) (int, bool) {
+	p, ok := skipLiteral(b, 0, `{"v":`)
+	if p, ok = skipNumber(b, p, ok); !ok {
+		return 0, false
+	}
+	if q, ok := skipLiteral(b, p, `,"run":`); ok {
+		if p, ok = skipString(b, q); !ok {
+			return 0, false
+		}
+	}
+	for _, key := range []string{`,"slot":`, `,"step":`, `,"t":`} {
+		p, ok = skipLiteral(b, p, key)
+		if p, ok = skipNumber(b, p, ok); !ok {
+			return 0, false
+		}
+	}
+	return skipLiteral(b, p, `,"state":`)
+}
+
+// canonicalTail matches `[,"delta":true][,"prev":S],"hash":S}` at the end
+// of b, scanning backward, and returns the offset where it starts.
+func canonicalTail(b []byte) (int, bool) {
+	if !bytes.HasSuffix(b, []byte(`"}`)) {
+		return 0, false
+	}
+	q, ok := backString(b, len(b)-1, `,"hash":`)
+	if !ok {
+		return 0, false
+	}
+	if p, ok := backString(b, q, `,"prev":`); ok {
+		q = p
+	}
+	if bytes.HasSuffix(b[:q], []byte(`,"delta":true`)) {
+		q -= len(`,"delta":true`)
+	}
+	return q, true
+}
+
+// backString matches key followed by a string without '"' or '\\' that
+// ends just before b[end], and returns the offset of key.
+func backString(b []byte, end int, key string) (int, bool) {
+	if end < 2 || b[end-1] != '"' {
+		return 0, false
+	}
+	open := bytes.LastIndexByte(b[:end-1], '"')
+	if open < 0 || bytes.IndexByte(b[open+1:end-1], '\\') >= 0 {
+		return 0, false
+	}
+	if !bytes.HasSuffix(b[:open], []byte(key)) {
+		return 0, false
+	}
+	return open - len(key), true
+}
+
+// skipLiteral matches lit at b[p:] when ok.
+func skipLiteral(b []byte, p int, lit string) (int, bool) {
+	if !bytes.HasPrefix(b[p:], []byte(lit)) {
+		return p, false
+	}
+	return p + len(lit), true
+}
+
+// skipNumber delimits a run of number characters at b[p:] when ok.
+func skipNumber(b []byte, p int, ok bool) (int, bool) {
+	if !ok {
+		return p, false
+	}
+	q := p
+	for q < len(b) && strings.IndexByte("0123456789-+.eE", b[q]) >= 0 {
+		q++
+	}
+	return q, q > p
+}
+
+// skipString delimits the JSON string starting at b[p].
+func skipString(b []byte, p int) (int, bool) {
+	if p >= len(b) || b[p] != '"' {
+		return p, false
+	}
+	for i := p + 1; i < len(b); i++ {
+		switch b[i] {
+		case '\\':
+			i++
+		case '"':
+			return i + 1, true
+		}
+	}
+	return p, false
+}
+
+// isJSONSpace reports whether c is JSON insignificant whitespace.
+func isJSONSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
 
 // ValidateCheckpoints checks a checkpoint stream's structural invariants,
 // per run label: known schema version, strictly increasing slot index,

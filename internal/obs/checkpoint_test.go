@@ -1,7 +1,11 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -55,8 +59,8 @@ func TestSeededLogContinuesCadence(t *testing.T) {
 // deltaChain builds a 3-record chain — keyframe, then two deltas — whose
 // state documents exercise every splice rule: array splices with @base
 // offsets, nested-object recursion, wholesale replacement, and key drops.
-func deltaChain(t *testing.T) []CheckpointRecord {
-	t.Helper()
+func deltaChain(tb testing.TB) []CheckpointRecord {
+	tb.Helper()
 	l := NewCheckpointLog()
 	l.Append(0, 0, 0, json.RawMessage(
 		`{"series":[1,2],"nested":{"inner":[10],"scalar":"a"},"gone":true,"x":1}`), false)
@@ -294,5 +298,158 @@ func TestValidateMixedVersionChain(t *testing.T) {
 	future := mk(CheckpointVersion+1, 0, false, "")
 	if err := ValidateCheckpoints([]CheckpointRecord{future}); err == nil {
 		t.Fatal("future schema version accepted")
+	}
+}
+
+// probeChain builds a keyframe+delta chain whose states are probe
+// recorder snapshots — float-heavy JSON, the bulk of a flight-recorder
+// record — growing by perRecord samples per device each record. Every
+// record carries run, a label with characters encoding/json escapes.
+func probeChain(tb testing.TB, records, perRecord int, run string) []CheckpointRecord {
+	tb.Helper()
+	r := NewProbeRecorder(0)
+	l := NewCheckpointLog()
+	sec := 0.0
+	for i := 0; i < records; i++ {
+		for j := 0; j < perRecord; j++ {
+			sec += 60
+			x := sec / 3600
+			r.Record("battery/0", sec, 0.5+0.4*math.Sin(x), 24+math.Cos(x), 40*math.Sin(x/3), 60+x, x*1.7, x*x/7)
+			r.Record("supercap/0", sec, 0.9-0.1*math.Cos(x), 12.5+math.Sin(x), 1.25*x, 0, x/3, -x/11)
+		}
+		state, err := json.Marshal(r.State())
+		if err != nil {
+			tb.Fatal(err)
+		}
+		l.AppendOwned(i+1, (i+1)*600, sec, state, l.NextIsDelta(DefaultKeyframeEvery))
+	}
+	recs := l.Records()
+	for i := range recs {
+		recs[i].Run = run
+	}
+	return recs
+}
+
+// encodeCheckpoints is WriteCheckpointsJSONL into a byte slice.
+func encodeCheckpoints(tb testing.TB, records []CheckpointRecord) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := WriteCheckpointsJSONL(&buf, records); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// referenceReadCheckpoints is the plain json.Decoder loop ReadCheckpoints
+// must agree with on every input.
+func referenceReadCheckpoints(r io.Reader) ([]CheckpointRecord, error) {
+	var out []CheckpointRecord
+	dec := json.NewDecoder(r)
+	for {
+		var rec CheckpointRecord
+		if err := dec.Decode(&rec); err == io.EOF {
+			return out, nil
+		} else if err != nil {
+			return out, fmt.Errorf("obs: read checkpoints: %w", err)
+		}
+		out = append(out, rec)
+	}
+}
+
+// TestReadCheckpointsFastPathTakesWriterOutput pins that every line
+// WriteCheckpointsJSONL emits — keyframes, deltas, v1 records, an escaped
+// run label, a chain head without prev — parses on the single-scan path,
+// not the json.Decoder fallback, and round-trips exactly.
+func TestReadCheckpointsFastPathTakesWriterOutput(t *testing.T) {
+	records := probeChain(t, 10, 3, `HEB-D|PR "x" <y>&z`+" ")
+	v1 := CheckpointRecord{V: 1, Slot: 11, Step: 6600, Seconds: 6600, State: json.RawMessage(`[1,"a",null]`), Prev: records[9].Hash}
+	v1.Hash = HashCheckpoint(v1)
+	records = append(records, v1, CheckpointRecord{V: 2, State: json.RawMessage(`{}`), Hash: "h"})
+	raw := encodeCheckpoints(t, records)
+	lines := bytes.SplitAfter(raw, []byte("\n"))
+	lines = lines[:len(lines)-1] // the empty remainder after the last newline
+	if len(lines) != len(records) {
+		t.Fatalf("%d lines for %d records", len(lines), len(records))
+	}
+	for i, line := range lines {
+		if rec, ok := canonicalCheckpoint(line); !ok || !reflect.DeepEqual(rec, records[i]) {
+			t.Errorf("line %d: fast path gave %+v, want %+v", i, rec, records[i])
+		}
+	}
+	got, err := ReadCheckpoints(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, records) {
+		t.Error("ReadCheckpoints did not round-trip the written chain")
+	}
+}
+
+// FuzzReadCheckpoints checks the single-scan reader against a plain
+// json.Decoder loop: it must never panic, must return identical records,
+// and must fail exactly when (and as) the decoder does.
+func FuzzReadCheckpoints(f *testing.F) {
+	records := deltaChain(f)
+	for i := range records {
+		records[i].Run = "HEB-D|PR|1h|seed=1"
+	}
+	chain := encodeCheckpoints(f, records)
+	lines := bytes.SplitAfter(chain, []byte("\n"))
+	v1 := CheckpointRecord{V: 1, Slot: 1, Step: 600, Seconds: 600, State: json.RawMessage(`{"a":[1,2]}`)}
+	v1.Hash = HashCheckpoint(v1)
+	quoted := CheckpointRecord{V: 2, Run: `a "b" <c> d`, Slot: 1, Step: 1, Seconds: 0.5,
+		State: json.RawMessage(`{"s":"x\"y"}`), Delta: true, Prev: "p", Hash: "h"}
+	for _, seed := range [][]byte{
+		chain,
+		encodeCheckpoints(f, []CheckpointRecord{v1}),
+		bytes.ReplaceAll(chain, []byte("\n"), []byte("\r\n")),
+		[]byte(`{"hash":"h","v":2,"slot":1,"step":1,"t":1,"state":{}}` + "\n"),
+		[]byte(`{"v":2,"slot":1,"step":1,"t":1,"state":{},"extra":1,"hash":"h"}` + "\n"),
+		append(bytes.TrimSuffix(lines[0], []byte("\n")), lines[1]...),
+		bytes.Replace(chain, []byte(`"step":`), []byte("\n\"step\":"), 1),
+		chain[:len(chain)-7],
+		encodeCheckpoints(f, []CheckpointRecord{quoted}),
+		[]byte(`{"v":2,"slot":1,"step":1,"t":1,"state":"a","prev":"b","hash":"c"}` + "\n"),
+		[]byte(`{"v":2,"slot":1.5,"step":1,"t":1,"state":{},"hash":"h"}` + "\n"),
+		[]byte(`{"v":2,"slot":1,"step":1,"t":1,"state":{} ,"hash":"h"}` + "\n\n"),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want, wantErr := referenceReadCheckpoints(bytes.NewReader(data))
+		got, gotErr := ReadCheckpoints(bytes.NewReader(data))
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("error %v, want %v", gotErr, wantErr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("records differ:\n got %+v\nwant %+v", got, want)
+		}
+	})
+}
+
+// BenchmarkWriteCheckpoints measures encoding a probe-state chain to
+// checkpoints.jsonl.
+func BenchmarkWriteCheckpoints(b *testing.B) {
+	records := probeChain(b, 16, 10, `HEB-D|PR|24h|seed=42`)
+	b.SetBytes(int64(len(encodeCheckpoints(b, records))))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := WriteCheckpointsJSONL(io.Discard, records); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReadCheckpoints measures parsing the same chain back.
+func BenchmarkReadCheckpoints(b *testing.B) {
+	raw := encodeCheckpoints(b, probeChain(b, 16, 10, `HEB-D|PR|24h|seed=42`))
+	b.SetBytes(int64(len(raw)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReadCheckpoints(bytes.NewReader(raw)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

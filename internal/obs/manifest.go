@@ -5,14 +5,13 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
-
-	"heb/internal/obs/alerts"
 )
 
 // ManifestVersion is the schema version stamped into every manifest; a
@@ -165,17 +164,9 @@ func parseRunKey(key string) (scheme, workload string, durationS float64, seed i
 	return scheme, workload, durationS, seed, cfgHash
 }
 
-// countingWriter measures the bytes a JSONL writer produces without
-// keeping them.
-type countingWriter struct{ n int64 }
-
-func (w *countingWriter) Write(p []byte) (int, error) {
-	w.n += int64(len(p))
-	return len(p), nil
-}
-
-// runManifest builds one run's index row from its contributed artifact.
-func runManifest(a RunArtifact, fingerprint string) RunManifest {
+// runManifest builds one run's index row from its contributed artifact,
+// its content fingerprint and its share of the JSONL bytes.
+func runManifest(a RunArtifact, fingerprint string, bytes int64) RunManifest {
 	scheme, workload, durationS, seed, cfgHash := parseRunKey(a.Key)
 	fp := sha256.Sum256([]byte(fingerprint))
 	rm := RunManifest{
@@ -187,6 +178,7 @@ func runManifest(a RunArtifact, fingerprint string) RunManifest {
 		ConfigHash:      cfgHash,
 		Status:          StatusComplete,
 		Fingerprint:     hex.EncodeToString(fp[:6]),
+		Bytes:           bytes,
 		Summary: RunSummary{
 			Steps:         a.Steps,
 			MismatchSteps: a.MismatchSteps,
@@ -223,33 +215,41 @@ func runManifest(a RunArtifact, fingerprint string) RunManifest {
 		rm.Checkpoints = n
 		rm.CheckpointHead = a.Checkpoints[n-1].Hash
 	}
-	// The run's byte share is what its slice of each JSONL artifact
-	// serializes to; metrics.prom is aggregate and not attributable.
-	var cw countingWriter
-	_ = WriteEventsJSONL(&cw, a.Events)
-	_ = WriteDecisionsJSONL(&cw, a.Decisions)
-	_ = WriteProbesJSONL(&cw, a.Probes)
-	_ = WriteCheckpointsJSONL(&cw, a.Checkpoints)
-	if a.Audit != nil {
-		_ = WriteAuditsJSONL(&cw, []AuditReport{*a.Audit})
-	}
-	_ = alerts.WriteEventsJSONL(&cw, a.AlertEvents)
-	rm.Bytes = cw.n
 	return rm
 }
 
 // BuildManifest renders the capture's run index (status complete, no
 // artifact inventory — WriteFiles attaches that after the files land).
 // Output order matches Runs(), so the manifest is deterministic for any
-// worker count.
+// worker count. Each run's Bytes is its share of the JSONL artifacts
+// (metrics.prom is aggregate and not attributable), measured by encoding
+// them into a discarding writer; WriteFiles takes the shares from the
+// encoding it writes instead.
 func (c *Capture) BuildManifest() Manifest {
-	runs := c.Runs()
+	runs, fps := c.sortedRuns()
+	shares, err := writeJSONL(runs, func(string) (io.WriteCloser, error) { return nopCloser{io.Discard}, nil })
+	if err != nil {
+		// Writing to io.Discard fails only when an artifact does not
+		// encode, and WriteFiles reports that; the row's Bytes stays 0.
+		shares = make([]int64, len(runs))
+	}
+	return c.manifest(runs, fps, shares)
+}
+
+// manifest renders the run index of runs (in output order) from their
+// fingerprints and byte shares.
+func (c *Capture) manifest(runs []RunArtifact, fps []string, shares []int64) Manifest {
 	m := Manifest{V: ManifestVersion, Status: StatusComplete, Label: c.Label()}
-	for _, a := range runs {
-		m.Runs = append(m.Runs, runManifest(a, artifactFingerprint(a)))
+	for i, a := range runs {
+		m.Runs = append(m.Runs, runManifest(a, fps[i], shares[i]))
 	}
 	return m
 }
+
+// nopCloser adds a no-op Close to a writer.
+type nopCloser struct{ io.Writer }
+
+func (nopCloser) Close() error { return nil }
 
 // WriteManifest atomically writes m as dir/manifest.json: the bytes land
 // in a temp file first and are renamed into place, so a concurrent reader

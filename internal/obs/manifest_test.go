@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"heb/internal/obs/alerts"
 )
 
 // TestManifestLifecycle walks the full capture lifecycle a killed-and-
@@ -147,5 +149,61 @@ func TestWriteManifestLeavesNoTempFiles(t *testing.T) {
 	}
 	if len(ents) != 1 || ents[0].Name() != ManifestName {
 		t.Fatalf("dir holds %v, want only %s", ents, ManifestName)
+	}
+}
+
+// TestManifestRunBytesAttributeJSONL pins each run's Bytes to its own
+// slice of the JSONL artifacts: a run's share in a two-run capture equals
+// the JSONL bytes a capture of that run alone writes, the shares add up
+// to the JSONL files on disk, and BuildManifest agrees with WriteFiles.
+func TestManifestRunBytesAttributeJSONL(t *testing.T) {
+	a := artifactA()
+	a.Probes = []ProbeSample{{Seconds: 60, Device: "battery/0", SoC: 0.5}}
+	a.Audit = &AuditReport{Mode: "report", Steps: 3600, Passed: true}
+	a.AlertEvents = []alerts.Event{{Seconds: 120, Device: "battery/0", Value: 2, Limit: 1}}
+	b := artifactB()
+	b.Checkpoints = deltaChain(t)
+	jsonlBytes := func(runs ...RunArtifact) (int64, Manifest) {
+		t.Helper()
+		dir := t.TempDir()
+		c := NewCapture()
+		for _, r := range runs {
+			c.Contribute(r)
+		}
+		if err := c.WriteFiles(dir); err != nil {
+			t.Fatal(err)
+		}
+		m, err := ReadManifest(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		built := c.BuildManifest()
+		var total int64
+		for _, art := range m.Artifacts {
+			if art.Name != "metrics.prom" {
+				total += art.Bytes
+			}
+		}
+		for i, rm := range m.Runs {
+			if built.Runs[i].Bytes != rm.Bytes {
+				t.Errorf("run %s: BuildManifest bytes %d, WriteFiles %d", rm.Key, built.Runs[i].Bytes, rm.Bytes)
+			}
+		}
+		return total, m
+	}
+	aBytes, _ := jsonlBytes(a)
+	bBytes, _ := jsonlBytes(b)
+	total, m := jsonlBytes(a, b)
+	if len(m.Artifacts) != len(ArtifactNames) {
+		t.Fatalf("capture wrote %d artifacts, want all %d: %+v", len(m.Artifacts), len(ArtifactNames), m.Artifacts)
+	}
+	if total != aBytes+bBytes {
+		t.Fatalf("JSONL total %d, want %d + %d", total, aBytes, bBytes)
+	}
+	for _, rm := range m.Runs {
+		want := map[string]int64{a.Key: aBytes, b.Key: bBytes}[rm.Key]
+		if rm.Bytes != want {
+			t.Errorf("run %s: bytes %d, want %d", rm.Key, rm.Bytes, want)
+		}
 	}
 }

@@ -5,6 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"strconv"
+
+	"heb/internal/jsonx"
 )
 
 // ProbeSample is one decimated observation of a single storage device's
@@ -43,6 +47,10 @@ type probeRing struct {
 	lastNetWh float64
 	lastSec   float64
 	primed    bool
+	// enc memoizes json.Marshal of samples[i] in enc[i] (nil = not yet
+	// encoded). AppendStateJSON builds it; Record only clears the slot it
+	// overwrites, so a run that never checkpoints never allocates it.
+	enc [][]byte
 }
 
 // DefaultProbeRing bounds the samples kept per device: at the default
@@ -108,6 +116,9 @@ func (r *ProbeRecorder) Record(device string, sec float64, soc, voltage, availAh
 		return
 	}
 	ring.samples[ring.next] = s
+	if ring.next < len(ring.enc) {
+		ring.enc[ring.next] = nil
+	}
 	ring.next++
 	if ring.next == r.ringCap {
 		ring.next = 0
@@ -149,6 +160,85 @@ func (r *ProbeRecorder) State() ProbeRecorderState {
 		})
 	}
 	return st
+}
+
+// AppendStateJSON appends json.Marshal(r.State()) to b, byte for byte,
+// and fails with json.Marshal's error where that would (a NaN or ±Inf
+// value). Each sample is marshaled once: its bytes stay memoized in its
+// ring slot until Record overwrites the slot, so a recorder checkpointed
+// every slot encodes only the samples recorded since the last checkpoint.
+func (r *ProbeRecorder) AppendStateJSON(b []byte) ([]byte, error) {
+	b = append(b, `{"ring_cap":`...)
+	b = strconv.AppendInt(b, int64(r.ringCap), 10)
+	if len(r.rings) > 0 {
+		b = append(b, `,"rings":[`...)
+		for i, ring := range r.rings {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			var err error
+			if b, err = ring.appendStateJSON(b); err != nil {
+				return nil, err
+			}
+		}
+		b = append(b, ']')
+	}
+	return append(b, '}'), nil
+}
+
+// appendStateJSON appends the ring's ProbeRingState encoding to b.
+func (ring *probeRing) appendStateJSON(b []byte) ([]byte, error) {
+	device, err := json.Marshal(ring.device)
+	if err != nil {
+		return nil, err
+	}
+	b = append(b, `{"device":`...)
+	b = append(b, device...)
+	if len(ring.samples) > 0 {
+		for len(ring.enc) < len(ring.samples) {
+			ring.enc = append(ring.enc, nil)
+		}
+		b = append(b, `,"samples":[`...)
+		for i := range ring.samples {
+			if ring.enc[i] == nil {
+				if ring.enc[i], err = json.Marshal(ring.samples[i]); err != nil {
+					return nil, err
+				}
+			}
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, ring.enc[i]...)
+		}
+		b = append(b, ']')
+	}
+	b = append(b, `,"next":`...)
+	b = strconv.AppendInt(b, int64(ring.next), 10)
+	if ring.dropped != 0 {
+		b = append(b, `,"dropped":`...)
+		b = strconv.AppendInt(b, ring.dropped, 10)
+	}
+	b = append(b, `,"last_net_wh":`...)
+	if b, err = appendFloatJSON(b, ring.lastNetWh); err != nil {
+		return nil, err
+	}
+	b = append(b, `,"last_sec":`...)
+	if b, err = appendFloatJSON(b, ring.lastSec); err != nil {
+		return nil, err
+	}
+	b = append(b, `,"primed":`...)
+	b = strconv.AppendBool(b, ring.primed)
+	return append(b, '}'), nil
+}
+
+// appendFloatJSON appends f as encoding/json writes a float64, and
+// returns json.Marshal's error for the values it rejects.
+func appendFloatJSON(b []byte, f float64) ([]byte, error) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		_, err := json.Marshal(f)
+		return nil, err
+	}
+	return jsonx.AppendFloat(b, f), nil
 }
 
 // Restore overwrites the recorder from a checkpoint. The ring capacity

@@ -135,7 +135,7 @@ go build -o "$dir/hebmon" ./cmd/hebmon
 addr="127.0.0.1:18462"
 "$dir/hebmon" -addr "$addr" -runs "$dir" -rescan 1s >"$dir/hebmon.log" 2>&1 &
 hebmon_pid=$!
-trap 'kill "$hebmon_pid" 2>/dev/null; rm -rf "$dir"' EXIT
+trap 'kill "$hebmon_pid" 2>/dev/null || true; rm -rf "$dir"' EXIT
 
 for _ in $(seq 1 50); do
 	curl -fsS "http://$addr/readyz" >/dev/null 2>&1 && break
