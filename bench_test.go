@@ -10,6 +10,7 @@ package heb
 // control slot length, deployment topology) sit at the bottom.
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -19,6 +20,7 @@ import (
 	"heb/internal/obs/prof"
 	"heb/internal/pat"
 	"heb/internal/power"
+	"heb/internal/runner"
 	"heb/internal/sim"
 	"heb/internal/solar"
 	"heb/internal/units"
@@ -713,6 +715,13 @@ func BenchmarkEngineProfEnabled(b *testing.B) { benchEngineProf(b, true) }
 // sweep, so the Sequential/Parallel pair below is the headline
 // wall-clock comparison for the shared runner; TestSweepDeterminism
 // asserts both produce identical results.
+//
+// Every timed sweep runs on a run cache warmed beforehand: one untimed
+// sweep generates the seeds' traces, then every worker builds its run
+// state for every scheme. Which worker picks up which cell is up to the
+// scheduler, so on a cold cache the number of fresh builds, and with it
+// allocs/op, would grow with the worker count and vary with scheduling.
+// Warm, every cell is a pooled reset on any core count.
 func benchMultiSeed(b *testing.B, workers int) {
 	b.Helper()
 	p := DefaultPrototype()
@@ -725,6 +734,23 @@ func benchMultiSeed(b *testing.B, workers int) {
 	}
 	stepsPerCell := int(opts.Duration / p.Step)
 	cells := opts.Seeds * len(opts.Schemes)
+	pool := runner.Workers(workers, cells)
+	opts.cache = NewRunCache(pool)
+	if _, err := MultiSeedComparison(p, opts); err != nil {
+		b.Fatal(err)
+	}
+	wl, err := WorkloadNamed(opts.Workload)
+	if err != nil {
+		b.Fatal(err)
+	}
+	wl = wl.WithDuration(opts.Duration)
+	for w := range pool {
+		for _, id := range opts.Schemes {
+			if _, err := p.RunWith(opts.cache, w, id, wl, RunOptions{Duration: opts.Duration}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -737,7 +763,10 @@ func benchMultiSeed(b *testing.B, workers int) {
 
 func BenchmarkMultiSeedSequential(b *testing.B) { benchMultiSeed(b, 1) }
 
-func BenchmarkMultiSeedParallel(b *testing.B) { benchMultiSeed(b, 0) }
+// BenchmarkMultiSeedParallel runs one worker per CPU, and at least two,
+// so it always measures the worker pool rather than the runner's
+// sequential path, and its allocs/op is the same on any core count.
+func BenchmarkMultiSeedParallel(b *testing.B) { benchMultiSeed(b, max(2, runtime.GOMAXPROCS(0))) }
 
 // BenchmarkPATLookup measures the allocation table's lookup path.
 func BenchmarkPATLookup(b *testing.B) {

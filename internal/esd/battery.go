@@ -189,7 +189,8 @@ type Battery struct {
 	qNominal            float64 // unfaded capacity in coulombs
 	ocvLo, ocvSpan      float64 // empty-cell OCV and the empty-to-full swing
 	kPerSec, leakPerSec float64 // KiBaM rate and self-discharge per second
-	thermalOn           bool
+	iRate, vCut         float64 // C-rate discharge ceiling and cutoff voltage
+	thermalOn, fadeOn   bool
 
 	// flowSecs, flowSteps and flowH memoize flow's Euler sub-step count
 	// and length for the last step length.
@@ -213,7 +214,10 @@ func NewBattery(cfg BatteryConfig) (*Battery, error) {
 		ocvSpan:    hi - lo,
 		kPerSec:    cfg.K / 3600,
 		leakPerSec: cfg.SelfDischargePerHour / 3600,
+		iRate:      cfg.MaxDischargeC * cfg.CapacityAh,
+		vCut:       cfg.CutoffFrac * vn,
 		thermalOn:  cfg.Thermal.Enabled(),
+		fadeOn:     cfg.FadeAtEOL > 0,
 	}
 	b.Reset()
 	return b, nil
@@ -242,12 +246,17 @@ func (b *Battery) lifeFraction() float64 {
 }
 
 // qMax is the total charge capacity in coulombs, shrunk by age when
-// capacity fade is configured.
+// capacity fade is configured. The fade-off case is a field read, so qMax
+// and ocv inline into the step paths.
 func (b *Battery) qMax() float64 {
-	if b.cfg.FadeAtEOL > 0 {
-		return b.qNominal * (1 - b.cfg.FadeAtEOL*b.lifeFraction())
+	if !b.fadeOn {
+		return b.qNominal
 	}
-	return b.qNominal
+	return b.fadedQMax()
+}
+
+func (b *Battery) fadedQMax() float64 {
+	return b.qNominal * (1 - b.cfg.FadeAtEOL*b.lifeFraction())
 }
 
 // qFloor is the charge level at which the DoD window is exhausted.
@@ -270,6 +279,11 @@ func (b *Battery) totalSoC() float64 {
 	return units.Clamp((b.q1+b.q2)/b.qMax(), 0, 1)
 }
 
+// ocvAt is ocv for a caller that already holds qMax.
+func (b *Battery) ocvAt(qMax float64) float64 {
+	return b.ocvLo + b.ocvSpan*units.Clamp((b.q1+b.q2)/qMax, 0, 1)
+}
+
 // Voltage returns the present open-circuit voltage.
 func (b *Battery) Voltage() units.Voltage {
 	return b.ocv()
@@ -280,14 +294,13 @@ func (b *Battery) Voltage() units.Voltage {
 // resistance at the achievable current. This is what the Figure 5
 // characterization plots.
 func (b *Battery) TerminalVoltage(p units.Power) units.Voltage {
-	voc := float64(b.ocv())
 	if p <= 0 {
-		return units.Voltage(voc)
+		return b.ocv()
 	}
-	r := b.effectiveOhm()
-	i := solveDischargeCurrent(float64(p), voc, r)
-	i = min(i, b.maxDischargeCurrent())
-	return units.Voltage(voc - i*r)
+	op := b.dischargePoint()
+	i := solveDischargeCurrent(float64(p), op.voc, op.r)
+	i = min(i, op.iMax)
+	return units.Voltage(op.voc - i*op.r)
 }
 
 func (b *Battery) ocv() units.Voltage {
@@ -315,35 +328,49 @@ func (b *Battery) effectiveOhm() float64 {
 	return r
 }
 
-// availableDischargeCharge is how much charge can leave the available well
-// this step without violating the DoD floor.
-func (b *Battery) availableDischargeCharge() float64 {
-	floorShare := b.cfg.C * b.qFloor() // keep the wells proportionally floored
-	avail := b.q1 - floorShare
-	total := b.q1 + b.q2 - b.qFloor()
-	return max(0, min(avail, total))
+// dischargePoint is a battery's discharge operating point for its present
+// state: everything a discharge-side call needs, evaluated once per call
+// instead of once per helper.
+type dischargePoint struct {
+	voc, r float64 // open-circuit voltage and sag-inclusive resistance
+	// iMax is the instantaneous current limit from the C-rate cap and the
+	// cutoff-voltage constraint.
+	iMax float64
+	// avail is how much charge can leave the available well this step
+	// without violating the DoD floor.
+	avail float64
 }
 
-// maxDischargeCurrent is the instantaneous current limit from the C-rate
-// cap and the cutoff-voltage constraint.
-func (b *Battery) maxDischargeCurrent() float64 {
-	iRate := b.cfg.MaxDischargeC * b.cfg.CapacityAh // amps
-	voc := float64(b.ocv())
-	vcut := b.cfg.CutoffFrac * float64(b.cfg.NominalVoltage)
+func (b *Battery) dischargePoint() dischargePoint {
+	qMax := b.qMax()
+	voc := b.ocvAt(qMax)
 	r := b.effectiveOhm()
-	iCut := (voc - vcut) / r
-	return max(0, min(iRate, iCut))
+	qFloor := (1 - b.cfg.DoD) * qMax
+	floorShare := b.cfg.C * qFloor // keep the wells proportionally floored
+	return dischargePoint{
+		voc:   voc,
+		r:     r,
+		iMax:  max(0, min(b.iRate, (voc-b.vCut)/r)),
+		avail: max(0, min(b.q1-floorShare, b.q1+b.q2-qFloor)),
+	}
+}
+
+// depleted reports whether the usable window is effectively empty.
+func (op dischargePoint) depleted() bool {
+	return op.avail < 1e-9 || op.iMax < 1e-9
 }
 
 // MaxDischargePower estimates deliverable power right now.
 func (b *Battery) MaxDischargePower() units.Power {
-	if b.failed || b.Depleted() {
+	if b.failed {
 		return 0
 	}
-	i := b.maxDischargeCurrent()
-	voc := float64(b.ocv())
-	v := voc - i*b.effectiveOhm()
-	return units.Power(max(0, v*i))
+	op := b.dischargePoint()
+	if op.depleted() {
+		return 0
+	}
+	v := op.voc - op.iMax*op.r
+	return units.Power(max(0, v*op.iMax))
 }
 
 // MaxChargePower estimates acceptable charging power right now.
@@ -373,7 +400,7 @@ func (b *Battery) maxChargeCurrent() float64 {
 
 // Depleted reports whether the usable window is effectively empty.
 func (b *Battery) Depleted() bool {
-	return b.failed || b.availableDischargeCharge() < 1e-9 || b.maxDischargeCurrent() < 1e-9
+	return b.failed || b.dischargePoint().depleted()
 }
 
 // Fail injects a dead-string fault (open cell, blown fuse): the battery
@@ -408,15 +435,19 @@ func (b *Battery) Capacity() units.Energy {
 // for dt.
 func (b *Battery) Discharge(req units.Power, dt time.Duration) units.Power {
 	secs := dt.Seconds()
-	if b.failed || req <= 0 || secs <= 0 || b.Depleted() {
+	if b.failed || req <= 0 || secs <= 0 {
 		b.flow(secs)
 		return 0
 	}
-	voc := float64(b.ocv())
-	r := b.effectiveOhm()
+	op := b.dischargePoint()
+	if op.depleted() {
+		b.flow(secs)
+		return 0
+	}
+	voc, r := op.voc, op.r
 	i := solveDischargeCurrent(float64(req), voc, r)
-	i = min(i, b.maxDischargeCurrent())
-	i = min(i, b.availableDischargeCharge()/secs)
+	i = min(i, op.iMax)
+	i = min(i, op.avail/secs)
 	if i <= 0 {
 		b.flow(secs)
 		return 0
@@ -425,7 +456,7 @@ func (b *Battery) Discharge(req units.Power, dt time.Duration) units.Power {
 	delivered := units.Power(v * i)
 
 	drawn := i * secs // coulombs out of the available well
-	b.wear.recordDischarge(b.cfg, i, b.SoC(), drawn)
+	b.wear.recordDischarge(&b.cfg, i, b.SoC(), drawn)
 	if b.thermalOn {
 		if m := b.thermal.wearMultiplier(b.cfg.Thermal); m != 1 {
 			// Re-weight the increment for temperature-accelerated aging.
@@ -514,8 +545,10 @@ func (b *Battery) flow(secs float64) {
 	if secs <= 0 {
 		return
 	}
-	cap1 := b.cfg.C * b.qMax()
-	cap2 := (1 - b.cfg.C) * b.qMax()
+	// Nothing in flow moves the wear clock, so qMax holds for the call.
+	qMax := b.qMax()
+	cap1 := b.cfg.C * qMax
+	cap2 := (1 - b.cfg.C) * qMax
 	// Live aging can shrink capacity below the stored charge; the
 	// stranded charge is lost (sulfated plate area).
 	if total := b.q1 + b.q2; total > cap1+cap2 {
@@ -528,11 +561,11 @@ func (b *Battery) flow(secs float64) {
 		b.flowSteps = max(1, int(math.Ceil(secs*b.kPerSec/0.1)))
 		b.flowH = secs / float64(b.flowSteps)
 	}
-	h, leak := b.flowH, b.leakPerSec
+	h, leak, capMin := b.flowH, b.leakPerSec, min(cap1, cap2)
 	for s := 0; s < b.flowSteps; s++ {
 		h1 := b.q1 / cap1
 		h2 := b.q2 / cap2
-		dq := b.kPerSec * (h2 - h1) * h * min(cap1, cap2)
+		dq := b.kPerSec * (h2 - h1) * h * capMin
 		// Transfer bound charge toward the available well (or back).
 		dq = units.Clamp(dq, -b.q1, b.q2)
 		dq = min(dq, cap1-b.q1)
@@ -542,7 +575,7 @@ func (b *Battery) flow(secs float64) {
 			lost1, lost2 := b.q1*leak*h, b.q2*leak*h
 			b.q1 -= lost1
 			b.q2 -= lost2
-			b.stats.Loss += units.Charge(lost1 + lost2).At(b.ocv())
+			b.stats.Loss += units.Charge(lost1 + lost2).At(units.Voltage(b.ocvAt(qMax)))
 		}
 	}
 }

@@ -195,9 +195,9 @@ func TestBatteryRecoveryNeverDecreasesAvailableCharge(t *testing.T) {
 	f := func(loadW uint8, restMin uint8) bool {
 		b := MustNewBattery(DefaultBatteryConfig())
 		b.Discharge(units.Power(50+int(loadW)), 5*time.Minute)
-		before := b.availableDischargeCharge()
+		before := b.dischargePoint().avail
 		b.Rest(time.Duration(restMin) * time.Minute)
-		after := b.availableDischargeCharge()
+		after := b.dischargePoint().avail
 		// Self-discharge is tiny; recovery must dominate after any rest.
 		return after >= before-1e-6
 	}

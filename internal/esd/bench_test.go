@@ -94,3 +94,42 @@ func BenchmarkBatteryRestStep(b *testing.B) {
 		bat.Rest(time.Second)
 	}
 }
+
+// The pool benchmarks step two identical members behind one bus, the way
+// the prototype builds its battery strings and SC banks: every member
+// from one config, all starting in the same state. They are the
+// Pool.transfer rows of the performance ladder.
+
+func BenchmarkBatteryPoolDischarge(b *testing.B) {
+	cfg := DefaultBatteryConfig()
+	pool := MustNewPool("battery", MustNewBattery(cfg), MustNewBattery(cfg))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if pool.Discharge(140, time.Second) < 70 {
+			pool.SetSoC(1)
+		}
+	}
+}
+
+func BenchmarkBatteryPoolCharge(b *testing.B) {
+	cfg := DefaultBatteryConfig()
+	pool := MustNewPool("battery", MustNewBattery(cfg), MustNewBattery(cfg))
+	pool.SetSoC(0.2)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if pool.Charge(120, time.Second) <= 0 {
+			pool.SetSoC(0.2)
+		}
+	}
+}
+
+func BenchmarkSupercapPoolDischarge(b *testing.B) {
+	cfg := DefaultSupercapConfig()
+	pool := MustNewPool("supercap", MustNewSupercap(cfg), MustNewSupercap(cfg))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if pool.Discharge(400, time.Second) < 200 {
+			pool.SetSoC(1)
+		}
+	}
+}

@@ -83,7 +83,7 @@ type wearTracker struct {
 
 // recordDischarge notes a discharge of drawn coulombs at current i amps
 // starting from state of charge soc.
-func (w *wearTracker) recordDischarge(cfg BatteryConfig, i, soc, drawn float64) {
+func (w *wearTracker) recordDischarge(cfg *BatteryConfig, i, soc, drawn float64) {
 	iRef := cfg.Life.RefCurrentC * cfg.CapacityAh
 	stress := 1.0
 	if iRef > 0 && i > iRef {

@@ -42,9 +42,9 @@ func TestRatedThroughput(t *testing.T) {
 func TestWearWeightIncreasesWithCurrent(t *testing.T) {
 	cfg := DefaultBatteryConfig()
 	var w wearTracker
-	w.recordDischarge(cfg, 0.4, 1.0, 3600) // 0.05C reference current
+	w.recordDischarge(&cfg, 0.4, 1.0, 3600) // 0.05C reference current
 	gentle := w.lastWeight
-	w.recordDischarge(cfg, 8, 1.0, 3600) // 1C
+	w.recordDischarge(&cfg, 8, 1.0, 3600) // 1C
 	harsh := w.lastWeight
 	if harsh <= gentle {
 		t.Errorf("high-current weight %g <= low-current %g", harsh, gentle)
@@ -57,9 +57,9 @@ func TestWearWeightIncreasesWithCurrent(t *testing.T) {
 func TestWearWeightIncreasesWithDepth(t *testing.T) {
 	cfg := DefaultBatteryConfig()
 	var w wearTracker
-	w.recordDischarge(cfg, 2, 0.9, 3600)
+	w.recordDischarge(&cfg, 2, 0.9, 3600)
 	shallow := w.lastWeight
-	w.recordDischarge(cfg, 2, 0.1, 3600)
+	w.recordDischarge(&cfg, 2, 0.1, 3600)
 	deep := w.lastWeight
 	if deep <= shallow {
 		t.Errorf("deep-discharge weight %g <= shallow %g", deep, shallow)

@@ -19,7 +19,9 @@ import (
 // interface dispatch, and the capability scratch is pool-owned rather than
 // allocated per call. Member order is preserved everywhere, so the
 // floating-point summation order — and therefore every simulation result —
-// is bit-identical to the naive per-device loop.
+// is bit-identical to the naive per-device loop. Members that are
+// bit-identical to their predecessor are stepped once for the run of them
+// (lockstep.go).
 type Pool struct {
 	name    string
 	members []Device
@@ -35,6 +37,10 @@ type Pool struct {
 	// allocates. The pool is single-goroutine (like its members), so one
 	// scratch suffices.
 	caps []units.Power
+
+	// lock marks the lockstep candidates: bit i is set when member i has
+	// member i-1's concrete type and config (lockstep.go).
+	lock uint64
 }
 
 var _ Device = (*Pool)(nil)
@@ -64,6 +70,7 @@ func NewPool(name string, members ...Device) (*Pool, error) {
 			p.sc[i] = d
 		}
 	}
+	p.lock = lockCandidates(p.members, p.bat, p.sc)
 	return p, nil
 }
 
@@ -210,12 +217,21 @@ func (p *Pool) memberTerminalVoltage(i int, load units.Power) (units.Voltage, bo
 	return tv.TerminalVoltage(load), true
 }
 
+// The read paths and transfer below share one idiom: a member whose bit
+// is set in the lockstep mask reuses its predecessor's value (still held
+// in the loop variable) instead of evaluating its own, which is the same
+// value bit for bit.
+
 // SoC is the capacity-weighted mean state of charge.
 func (p *Pool) SoC() float64 {
-	var num, den float64
+	same := p.lockstep()
+	var num, den, c, soc float64
 	for i := range p.members {
-		c := float64(p.memberCapacity(i))
-		num += p.memberSoC(i) * c
+		if same&(1<<i) == 0 {
+			c = float64(p.memberCapacity(i))
+			soc = p.memberSoC(i)
+		}
+		num += soc * c
 		den += c
 	}
 	if den == 0 {
@@ -226,9 +242,13 @@ func (p *Pool) SoC() float64 {
 
 // Stored sums members' usable stored energy.
 func (p *Pool) Stored() units.Energy {
-	var e units.Energy
+	same := p.lockstep()
+	var e, m units.Energy
 	for i := range p.members {
-		e += p.memberStored(i)
+		if same&(1<<i) == 0 {
+			m = p.memberStored(i)
+		}
+		e += m
 	}
 	return e
 }
@@ -259,9 +279,14 @@ func (p *Pool) Voltage() units.Voltage {
 // the bus sits at the capability-weighted mean of member terminals.
 func (p *Pool) TerminalVoltage(load units.Power) units.Voltage {
 	caps := p.caps
+	same := p.lockstep()
 	var capSum units.Power
 	for i := range p.members {
-		caps[i] = p.memberMaxDischarge(i)
+		if same&(1<<i) != 0 {
+			caps[i] = caps[i-1]
+		} else {
+			caps[i] = p.memberMaxDischarge(i)
+		}
 		capSum += caps[i]
 	}
 	if capSum <= 0 {
@@ -289,26 +314,37 @@ func (p *Pool) TerminalVoltage(load units.Power) units.Voltage {
 
 // MaxDischargePower sums member discharge capability.
 func (p *Pool) MaxDischargePower() units.Power {
-	var pw units.Power
+	same := p.lockstep()
+	var pw, m units.Power
 	for i := range p.members {
-		pw += p.memberMaxDischarge(i)
+		if same&(1<<i) == 0 {
+			m = p.memberMaxDischarge(i)
+		}
+		pw += m
 	}
 	return pw
 }
 
 // MaxChargePower sums member charge acceptance.
 func (p *Pool) MaxChargePower() units.Power {
-	var pw units.Power
+	same := p.lockstep()
+	var pw, m units.Power
 	for i := range p.members {
-		pw += p.memberMaxCharge(i)
+		if same&(1<<i) == 0 {
+			m = p.memberMaxCharge(i)
+		}
+		pw += m
 	}
 	return pw
 }
 
-// Depleted reports whether every member is depleted.
+// Depleted reports whether every member is depleted. A lockstep member
+// is depleted exactly when its predecessor is, which the loop has already
+// found to be so.
 func (p *Pool) Depleted() bool {
+	same := p.lockstep()
 	for i := range p.members {
-		if !p.memberDepleted(i) {
+		if same&(1<<i) == 0 && !p.memberDepleted(i) {
 			return false
 		}
 	}
@@ -333,46 +369,60 @@ func (p *Pool) Charge(offered units.Power, dt time.Duration) units.Power {
 // member is dispatched exactly once per step (keeping recovery and leakage
 // time in sync across the pool). It is the pool's hot path: one capability
 // pass and one dispatch pass over the typed member slices, zero
-// allocations.
+// allocations. A lockstep member has its predecessor's capability, so its
+// share and its returned power are the predecessor's too, and it takes
+// the predecessor's post-step state.
 func (p *Pool) transfer(total units.Power, dt time.Duration, discharge bool) units.Power {
 	caps := p.caps
+	same := p.lockstep()
 	var capSum units.Power
-	if discharge {
-		for i := range p.members {
+	for i := range p.members {
+		switch {
+		case same&(1<<i) != 0:
+			caps[i] = caps[i-1]
+		case discharge:
 			caps[i] = p.memberMaxDischarge(i)
-			capSum += caps[i]
-		}
-	} else {
-		for i := range p.members {
+		default:
 			caps[i] = p.memberMaxCharge(i)
-			capSum += caps[i]
 		}
+		capSum += caps[i]
 	}
 	if total <= 0 || capSum <= 0 {
-		for i := range p.members {
-			p.memberRest(i, dt)
-		}
+		p.rest(same, dt)
 		return 0
 	}
 	if total > capSum {
 		total = capSum
 	}
-	var moved units.Power
+	var moved, got units.Power
 	for i := range p.members {
-		share := units.Power(float64(total) * float64(caps[i]) / float64(capSum))
-		if discharge {
-			moved += p.memberDischarge(i, share, dt)
+		if same&(1<<i) != 0 {
+			p.follow(i)
 		} else {
-			moved += p.memberCharge(i, share, dt)
+			share := units.Power(float64(total) * float64(caps[i]) / float64(capSum))
+			if discharge {
+				got = p.memberDischarge(i, share, dt)
+			} else {
+				got = p.memberCharge(i, share, dt)
+			}
 		}
+		moved += got
 	}
 	return moved
 }
 
 // Rest advances all members without load.
 func (p *Pool) Rest(dt time.Duration) {
+	p.rest(p.lockstep(), dt)
+}
+
+func (p *Pool) rest(same uint64, dt time.Duration) {
 	for i := range p.members {
-		p.memberRest(i, dt)
+		if same&(1<<i) != 0 {
+			p.follow(i)
+		} else {
+			p.memberRest(i, dt)
+		}
 	}
 }
 

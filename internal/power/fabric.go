@@ -261,14 +261,6 @@ func (f *Fabric) Assign(id int, src Source) error {
 	return nil
 }
 
-// AssignAll flips every relay to src.
-func (f *Fabric) AssignAll(src Source) {
-	for _, s := range f.servers {
-		// Assign cannot fail for known ids.
-		_ = f.Assign(s.ID(), src)
-	}
-}
-
 // AssignSplit implements the paper's R_λ allocation: servers needing
 // storage are split so that a fraction ratio of them lands on the
 // super-capacitor pool and the rest on batteries. The ids slice lists the

@@ -88,24 +88,28 @@ func MapWorkers[T any](ctx context.Context, n, workers int, fn func(ctx context.
 		return results, firstError(errs)
 	}
 
-	var next atomic.Int64
+	// One closure serves every worker, which numbers itself on start, so
+	// the pool allocates the same whatever its size.
+	var next, ids atomic.Int64
 	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(worker int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					errs[i] = err
-					continue
-				}
-				results[i], errs[i] = fn(ctx, worker, i)
+	work := func() {
+		defer wg.Done()
+		worker := int(ids.Add(1)) - 1
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
 			}
-		}(w)
+			if err := ctx.Err(); err != nil {
+				errs[i] = err
+				continue
+			}
+			results[i], errs[i] = fn(ctx, worker, i)
+		}
+	}
+	wg.Add(workers)
+	for range workers {
+		go work()
 	}
 	wg.Wait()
 	return results, firstError(errs)

@@ -1005,7 +1005,7 @@ func (e *Engine) storedTotal() units.Energy {
 
 // step advances one engine tick.
 func (e *Engine) step(now time.Duration) {
-	cfg := e.cfg
+	cfg := &e.cfg
 	dt := cfg.Step
 	e.steps++
 	e.now = now
@@ -1130,7 +1130,7 @@ func (e *Engine) applyCapping(demand, effSupply units.Power, dt time.Duration) u
 // stepSurplus handles demand below supply: everyone on utility, surplus
 // charges the buffers.
 func (e *Engine) stepSurplus(now time.Duration, demand, supply, effSupply units.Power, dt time.Duration) {
-	cfg := e.cfg
+	cfg := &e.cfg
 	for _, s := range cfg.Servers {
 		if e.fabric.SourceOf(s.ID()) != power.SourceOff && e.fabric.SourceOf(s.ID()) != power.SourceUtility {
 			_ = e.fabric.Assign(s.ID(), power.SourceUtility)
@@ -1211,7 +1211,7 @@ func (e *Engine) charge(surplus units.Power, dt time.Duration) units.Power {
 // stepMismatch handles demand above supply: move overloaded servers onto
 // the buffers per the slot decision, discharge, fall back, shed.
 func (e *Engine) stepMismatch(now time.Duration, demand, supply, effSupply units.Power, dt time.Duration) {
-	cfg := e.cfg
+	cfg := &e.cfg
 	e.mismatchSteps++
 	e.snapshotDemand()
 

@@ -120,14 +120,21 @@ func (q Charge) At(v Voltage) Energy { return Energy(float64(q) * float64(v)) }
 // panics rather than silently swapping bounds.
 func Clamp(x, lo, hi float64) float64 {
 	if lo > hi {
-		panic(fmt.Sprintf("units.Clamp: inverted bounds [%g, %g]", lo, hi))
+		invertedBounds(lo, hi)
 	}
-	switch {
-	case x < lo:
+	if x < lo {
 		return lo
-	case x > hi:
-		return hi
-	default:
-		return x
 	}
+	if x > hi {
+		return hi
+	}
+	return x
+}
+
+// invertedBounds holds Clamp's panic, whose formatting would otherwise
+// keep Clamp itself from inlining.
+//
+//go:noinline
+func invertedBounds(lo, hi float64) {
+	panic(fmt.Sprintf("units.Clamp: inverted bounds [%g, %g]", lo, hi))
 }

@@ -90,11 +90,16 @@ func TestClamp(t *testing.T) {
 
 func TestClampInvertedBoundsPanics(t *testing.T) {
 	defer func() {
-		if recover() == nil {
-			t.Error("Clamp with inverted bounds did not panic")
+		r := recover()
+		if r == nil {
+			t.Fatal("Clamp with inverted bounds did not panic")
+		}
+		const want = "units.Clamp: inverted bounds [10, 0.5]"
+		if msg, ok := r.(string); !ok || msg != want {
+			t.Errorf("panic value %#v, want string %q", r, want)
 		}
 	}()
-	Clamp(1, 10, 0)
+	Clamp(1, 10, 0.5)
 }
 
 func TestClampProperty(t *testing.T) {

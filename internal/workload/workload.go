@@ -224,12 +224,20 @@ func paintBurst(env []float64, step time.Duration, t0, width time.Duration, heig
 	if ramp < step {
 		ramp = step
 	}
-	for i := range env {
+	// Only the steps in [t0, t0+width) change: start at the first of
+	// them and stop after the last, rather than scanning the whole trace
+	// once per burst.
+	first := 0
+	if t0 > 0 {
+		first = int((t0 + step - 1) / step)
+	}
+	for i := first; i < len(env); i++ {
 		tt := time.Duration(i) * step
+		if tt >= t0+width {
+			break
+		}
 		var v float64
 		switch {
-		case tt < t0 || tt >= t0+width:
-			continue
 		case tt < t0+ramp:
 			v = float64(tt-t0) / float64(ramp)
 		case tt >= t0+width-ramp:

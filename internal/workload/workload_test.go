@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -230,4 +231,55 @@ func meanOf(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
+}
+
+// paintBurstScan is paintBurst visiting every step of the trace, the
+// reference for the windowed loop.
+func paintBurstScan(env []float64, step time.Duration, t0, width time.Duration, height float64) {
+	ramp := max(width/10, step)
+	for i := range env {
+		tt := time.Duration(i) * step
+		var v float64
+		switch {
+		case tt < t0 || tt >= t0+width:
+			continue
+		case tt < t0+ramp:
+			v = float64(tt-t0) / float64(ramp)
+		case tt >= t0+width-ramp:
+			v = float64(t0+width-tt) / float64(ramp)
+		default:
+			v = 1
+		}
+		v *= height
+		if v > env[i] {
+			env[i] = v
+		}
+	}
+}
+
+func TestPaintBurstMatchesFullScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for k := 0; k < 2000; k++ {
+		n := 1 + rng.Intn(300)
+		step := time.Duration(1+rng.Intn(5)) * time.Second
+		if k%3 == 0 {
+			step = time.Duration(1 + rng.Intn(1500)) // sub-second steps
+		}
+		span := time.Duration(n) * step
+		t0 := time.Duration(rng.Int63n(int64(2*span))) - span/2 // may start before 0 or after the end
+		width := time.Duration(1 + rng.Int63n(int64(span)))
+		height := rng.Float64()
+		got, want := make([]float64, n), make([]float64, n)
+		for i := range got {
+			got[i] = rng.Float64() * 0.5
+			want[i] = got[i]
+		}
+		paintBurst(got, step, t0, width, height)
+		paintBurstScan(want, step, t0, width, height)
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("case %d (n %d step %v t0 %v width %v): step %d = %v, full scan %v", k, n, step, t0, width, i, got[i], want[i])
+			}
+		}
+	}
 }

@@ -36,6 +36,11 @@ type MultiSeedOptions struct {
 	// accumulated in grid order, so summaries are bit-for-bit identical
 	// for any worker count.
 	Workers int
+
+	// cache, when set, supplies the pooled run states in place of a
+	// fresh RunCache, so a benchmark can warm every worker's states
+	// outside its timed region.
+	cache *RunCache
 }
 
 // MultiSeedComparison reruns the scheme comparison across seeds and
@@ -70,7 +75,10 @@ func MultiSeedComparison(p Prototype, opts MultiSeedOptions) ([]MultiSeedResult,
 	// Every cell of a scheme reuses one pooled run state per worker: only
 	// the seed differs between cells, so the engine, device pools, PAT
 	// table and controller are reset instead of rebuilt.
-	cache := NewRunCache(runner.Workers(opts.Workers, cells))
+	cache := opts.cache
+	if cache == nil {
+		cache = NewRunCache(runner.Workers(opts.Workers, cells))
+	}
 	results, err := runner.MapWorkers(context.Background(), cells, opts.Workers,
 		func(_ context.Context, worker, i int) (sim.Result, error) {
 			s, id := i/nSchemes, opts.Schemes[i%nSchemes]

@@ -7,6 +7,10 @@
 # (BenchmarkEngineReuse: the same hour checked out of a warmed RunCache);
 # the Sequential/Parallel pair is the wall-clock headline for the shared
 # runner (internal/runner) and needs GOMAXPROCS >= 4 to show a speedup.
+# The pair times warm sweeps only (every worker's run states are built
+# before the timer starts), and Parallel always runs the worker pool, at
+# least two workers, so both allocs/op columns are the same on any core
+# count.
 #
 # The obs set runs the same HEB-D hour with the observability layer off
 # (nil sinks) and on (event log + decision trace): Disabled's allocs/op
@@ -49,6 +53,14 @@
 # process of its own at a fixed -benchtime 20x: the timed loop starts
 # right after testing's runtime.GC(), with the same heap and the same
 # number of runs every time, so the same cycles fall inside it.
+# BenchmarkEngineCheckpointDisabled runs in the same process, so the
+# checkpoint-overhead ratio below compares like with like.
+# The whole obs set runs at GOMAXPROCS=1. With more Ps the GC's
+# background workers and the per-P sync.Pool shards make the refill
+# count depend on the core count: on 2 CPUs the checkpoint pair measures
+# 1066/1067 and ManifestEnabled 1062, against 1063/1064 and 1061 on one.
+# Every obs benchmark is a single-goroutine engine run, so one P
+# measures the same program on any box.
 # When BENCH_prof.json is committed, -check additionally re-runs
 # the engine memprofile and gates its frame shares through `hebprof
 # check` (new frames >= 3% flat, known frames grown past 1.5x fail).
@@ -182,15 +194,19 @@ compare() {
 	' "$1" "$2"
 }
 
-# run_set PATTERN OUT [FIXED_PATTERN] measures PATTERN, plus FIXED_PATTERN
-# at -benchtime $ckpt_runs in a process of its own, and writes or checks
-# OUT.
+# run_set PROCS PATTERN OUT [FIXED_PATTERN] measures PATTERN, plus
+# FIXED_PATTERN at -benchtime $ckpt_runs in a process of its own, and
+# writes or checks OUT. A non-empty PROCS pins GOMAXPROCS for both.
 ckpt_runs=20x
 run_set() {
-	local pattern="$1" out="$2" fixed="${3:-}"
-	go test -run '^$' -bench "$pattern" -benchmem -count=1 . | tee "$raw"
+	local procs="$1" pattern="$2" out="$3" fixed="${4:-}"
+	local env=()
+	if [[ -n "$procs" ]]; then
+		env=(env GOMAXPROCS="$procs")
+	fi
+	"${env[@]}" go test -run '^$' -bench "$pattern" -benchmem -count=1 . | tee "$raw"
 	if [[ -n "$fixed" ]]; then
-		go test -run '^$' -bench "$fixed" -benchmem -count=1 -benchtime "$ckpt_runs" . | tee -a "$raw"
+		"${env[@]}" go test -run '^$' -bench "$fixed" -benchmem -count=1 -benchtime "$ckpt_runs" . | tee -a "$raw"
 	fi
 	cat "$raw" >>"$scratch/all_raw.txt"
 	if [[ "$check" == 1 ]]; then
@@ -210,9 +226,9 @@ run_set() {
 	fi
 }
 
-run_set 'BenchmarkMultiSeedSequential|BenchmarkMultiSeedParallel|BenchmarkEngineStep$|BenchmarkEngineReuse$' "$sweep_out"
-run_set 'BenchmarkEngineObsDisabled|BenchmarkEngineObsEnabled|BenchmarkEngineProbesDisabled|BenchmarkEngineProbesEnabled|BenchmarkEngineCheckpointDisabled|BenchmarkEngineManifestDisabled|BenchmarkEngineManifestEnabled|BenchmarkEngineAlertsDisabled|BenchmarkEngineAlertsEnabled|BenchmarkEngineProfDisabled|BenchmarkEngineProfEnabled' "$obs_out" \
-	'BenchmarkEngineCheckpointEnabled|BenchmarkCheckpointDelta$'
+run_set '' 'BenchmarkMultiSeedSequential|BenchmarkMultiSeedParallel|BenchmarkEngineStep$|BenchmarkEngineReuse$' "$sweep_out"
+run_set 1 'BenchmarkEngineObsDisabled|BenchmarkEngineObsEnabled|BenchmarkEngineProbesDisabled|BenchmarkEngineProbesEnabled|BenchmarkEngineManifestDisabled|BenchmarkEngineManifestEnabled|BenchmarkEngineAlertsDisabled|BenchmarkEngineAlertsEnabled|BenchmarkEngineProfDisabled|BenchmarkEngineProfEnabled' "$obs_out" \
+	'BenchmarkEngineCheckpointDisabled|BenchmarkEngineCheckpointEnabled|BenchmarkCheckpointDelta$'
 
 # Target gates (see header): absolute holds on the measured run, applied
 # over the raw benchmark output of both sets so they bind even as the
