@@ -425,7 +425,7 @@ func BenchmarkEngineReuse(b *testing.B) {
 // BenchmarkCheckpointDelta measures the flight recorder's delta-encoded
 // chain: the HEB-D hour snapshotting every slot into a discarding sink,
 // keyframes every obs.DefaultKeyframeEvery records and suffix-spliced
-// deltas between. Compare against BenchmarkEngineCheckpointDisabled for
+// deltas between. Compare against BenchmarkEngineBare for
 // the overhead ratio (target: under 1.2x ns/op and under 400 KB/op —
 // full-state chains cost ~2 MB/op) and see ckptKB/op for the bytes the
 // chain itself carries.
@@ -470,13 +470,18 @@ func BenchmarkCheckpointDelta(b *testing.B) {
 	b.ReportMetric(float64(deltas)/float64(records), "deltaShare")
 }
 
-// benchEngineObs runs the HEB-D hour with the observability layer either
-// fully off (nil sinks — the allocation-free fast path every sweep takes
-// by default) or fully on (event log + decision trace). Comparing the
-// two allocs/op columns is the proof that the nil-sink guards keep the
-// hot loop unchanged: Disabled must match the pre-observability
-// BenchmarkEngineStep numbers.
-func benchEngineObs(b *testing.B, enabled bool) {
+// BenchmarkEngineBare is BenchmarkEngineStep measured inside the obs
+// benchmark set: the in-process bare reference for the checkpoint
+// overhead target in scripts/bench.sh. Every instrument shares one off
+// path, an empty Config.Instruments list, so this and
+// BenchmarkEngineStep's exact allocs/op gate are the whole proof that an
+// uninstrumented run pays nothing for the seam.
+func BenchmarkEngineBare(b *testing.B) { BenchmarkEngineStep(b) }
+
+// benchEngineWith runs the HEB-D hour with the observability layer that
+// on attaches to each run's prototype and options. They pass by value so
+// the harness itself allocates nothing per run.
+func benchEngineWith(b *testing.B, on func(Prototype, RunOptions) (Prototype, RunOptions)) {
 	b.Helper()
 	p := DefaultPrototype()
 	pr, err := WorkloadNamed("PR")
@@ -491,131 +496,12 @@ func benchEngineObs(b *testing.B, enabled bool) {
 	b.ResetTimer()
 	steps := 0
 	for i := 0; i < b.N; i++ {
-		opts := RunOptions{Duration: time.Hour}
-		if enabled {
-			log := obs.NewLog(0)
-			dl := obs.NewDecisionLog()
-			opts.Events = log
-			opts.DecisionTrace = dl.Append
-		}
-		res, err := p.Run(HEBD, pr.WithDuration(time.Hour), opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		steps += res.Steps
-	}
-	b.ReportMetric(float64(steps)/b.Elapsed().Seconds(), "simSteps/s")
-}
-
-func BenchmarkEngineObsDisabled(b *testing.B) { benchEngineObs(b, false) }
-
-func BenchmarkEngineObsEnabled(b *testing.B) { benchEngineObs(b, true) }
-
-// benchEngineDeep runs the HEB-D hour with the deep-observability layer
-// (per-device probes, energy audit, span tracing) either fully off or
-// fully on. Disabled must match BenchmarkEngineStep's allocs/op exactly:
-// the nil guards keep the hot loop allocation-free when nothing listens.
-func benchEngineDeep(b *testing.B, enabled bool) {
-	b.Helper()
-	p := DefaultPrototype()
-	pr, err := WorkloadNamed("PR")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := pr.WithDuration(time.Hour).Trace(p); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	steps := 0
-	for i := 0; i < b.N; i++ {
-		q := p
-		if enabled {
-			q.ProbeEvery = 60
-			q.Audit = obs.AuditModeReport
-			q.Audits = obs.NewAuditLog()
-			q.Tracer = obs.NewTracer()
-		}
-		res, err := q.Run(HEBD, pr.WithDuration(time.Hour), RunOptions{Duration: time.Hour})
-		if err != nil {
-			b.Fatal(err)
-		}
-		steps += res.Steps
-	}
-	b.ReportMetric(float64(steps)/b.Elapsed().Seconds(), "simSteps/s")
-}
-
-func BenchmarkEngineProbesDisabled(b *testing.B) { benchEngineDeep(b, false) }
-
-func BenchmarkEngineProbesEnabled(b *testing.B) { benchEngineDeep(b, true) }
-
-// benchEngineCheckpoint runs the HEB-D hour with the flight recorder
-// either off (the default) or snapshotting every slot into a discarding
-// sink. Disabled must match BenchmarkEngineStep's allocs/op exactly:
-// checkpointing is guarded out of the hot loop entirely when off, and
-// even when on it runs only at slot boundaries.
-func benchEngineCheckpoint(b *testing.B, enabled bool) {
-	b.Helper()
-	p := DefaultPrototype()
-	pr, err := WorkloadNamed("PR")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := pr.WithDuration(time.Hour).Trace(p); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	steps := 0
-	for i := 0; i < b.N; i++ {
-		q := p
-		opts := RunOptions{Duration: time.Hour}
-		if enabled {
-			q.CheckpointEvery = 1
-			opts.CheckpointSink = func(obs.CheckpointRecord) {}
-		}
+		q, opts := on(p, RunOptions{Duration: time.Hour})
 		res, err := q.Run(HEBD, pr.WithDuration(time.Hour), opts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		steps += res.Steps
-	}
-	b.ReportMetric(float64(steps)/b.Elapsed().Seconds(), "simSteps/s")
-}
-
-func BenchmarkEngineCheckpointDisabled(b *testing.B) { benchEngineCheckpoint(b, false) }
-
-func BenchmarkEngineCheckpointEnabled(b *testing.B) { benchEngineCheckpoint(b, true) }
-
-// benchEngineManifest runs the HEB-D hour with the capture + manifest
-// layer either off (Capture nil — the default every bare run takes) or
-// on (capture attached, the run's manifest row built per iteration, no
-// file IO). Disabled must match BenchmarkEngineStep's allocs/op
-// exactly: manifests are built entirely from contributed artifacts, so
-// a run without a capture pays nothing for them.
-func benchEngineManifest(b *testing.B, enabled bool) {
-	b.Helper()
-	p := DefaultPrototype()
-	pr, err := WorkloadNamed("PR")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := pr.WithDuration(time.Hour).Trace(p); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	steps := 0
-	for i := 0; i < b.N; i++ {
-		q := p
-		if enabled {
-			q.Capture = obs.NewCapture()
-		}
-		res, err := q.Run(HEBD, pr.WithDuration(time.Hour), RunOptions{Duration: time.Hour})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if enabled {
+		if q.Capture != nil {
 			if m := q.Capture.BuildManifest(); len(m.Runs) != 1 {
 				b.Fatalf("manifest holds %d runs", len(m.Runs))
 			}
@@ -625,90 +511,72 @@ func benchEngineManifest(b *testing.B, enabled bool) {
 	b.ReportMetric(float64(steps)/b.Elapsed().Seconds(), "simSteps/s")
 }
 
-func BenchmarkEngineManifestDisabled(b *testing.B) { benchEngineManifest(b, false) }
-
-func BenchmarkEngineManifestEnabled(b *testing.B) { benchEngineManifest(b, true) }
-
-// benchEngineAlerts runs the HEB-D hour with the SLO alert engine either
-// off (Alert ModeOff — the default) or on in report mode with the default
-// rules. Disabled must match BenchmarkEngineStep's allocs/op exactly: the
-// nil-engine guards keep the hot loop untouched when no rules are loaded.
-func benchEngineAlerts(b *testing.B, enabled bool) {
-	b.Helper()
-	p := DefaultPrototype()
-	pr, err := WorkloadNamed("PR")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := pr.WithDuration(time.Hour).Trace(p); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	steps := 0
-	for i := 0; i < b.N; i++ {
-		q := p
-		if enabled {
-			q.Alert = alerts.ModeReport
-		}
-		res, err := q.Run(HEBD, pr.WithDuration(time.Hour), RunOptions{Duration: time.Hour})
-		if err != nil {
-			b.Fatal(err)
-		}
-		steps += res.Steps
-	}
-	b.ReportMetric(float64(steps)/b.Elapsed().Seconds(), "simSteps/s")
+// BenchmarkEngineObsEnabled attaches the event log and decision trace.
+func BenchmarkEngineObsEnabled(b *testing.B) {
+	benchEngineWith(b, func(p Prototype, opts RunOptions) (Prototype, RunOptions) {
+		log := obs.NewLog(0)
+		dl := obs.NewDecisionLog()
+		opts.Events = log
+		opts.DecisionTrace = dl.Append
+		return p, opts
+	})
 }
 
-func BenchmarkEngineAlertsDisabled(b *testing.B) { benchEngineAlerts(b, false) }
-
-func BenchmarkEngineAlertsEnabled(b *testing.B) { benchEngineAlerts(b, true) }
-
-// benchEngineProf runs the HEB-D hour with the profiling layer either off
-// (no collector window open — the default every run takes) or on (a heap
-// collector armed, so every run executes under its pprof cell labels).
-// Disabled must match BenchmarkEngineStep's allocs/op exactly: the only
-// cost on the disabled path is one atomic load in Prototype.Run, and the
-// engine's phase-label switches are nil-guarded out of the loop.
-func benchEngineProf(b *testing.B, enabled bool) {
-	b.Helper()
-	p := DefaultPrototype()
-	pr, err := WorkloadNamed("PR")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := pr.WithDuration(time.Hour).Trace(p); err != nil {
-		b.Fatal(err)
-	}
-	if enabled {
-		// A heap-only collector opens the label window without the CPU
-		// profiler's sampling overhead distorting ns/op.
-		c := prof.NewCollector(b.TempDir(), []string{"heap"})
-		if err := c.Start(); err != nil {
-			b.Fatal(err)
-		}
-		defer func() {
-			if err := c.Stop(); err != nil {
-				b.Fatal(err)
-			}
-		}()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	steps := 0
-	for i := 0; i < b.N; i++ {
-		res, err := p.Run(HEBD, pr.WithDuration(time.Hour), RunOptions{Duration: time.Hour})
-		if err != nil {
-			b.Fatal(err)
-		}
-		steps += res.Steps
-	}
-	b.ReportMetric(float64(steps)/b.Elapsed().Seconds(), "simSteps/s")
+// BenchmarkEngineProbesEnabled attaches the deep-observability layer:
+// per-device probes, the energy auditor and the span tracer.
+func BenchmarkEngineProbesEnabled(b *testing.B) {
+	benchEngineWith(b, func(p Prototype, opts RunOptions) (Prototype, RunOptions) {
+		p.ProbeEvery = 60
+		p.Audit = obs.AuditModeReport
+		p.Audits = obs.NewAuditLog()
+		p.Tracer = obs.NewTracer()
+		return p, opts
+	})
 }
 
-func BenchmarkEngineProfDisabled(b *testing.B) { benchEngineProf(b, false) }
+// BenchmarkEngineCheckpointEnabled snapshots every slot into a
+// discarding sink; checkpoints run only at slot boundaries.
+func BenchmarkEngineCheckpointEnabled(b *testing.B) {
+	benchEngineWith(b, func(p Prototype, opts RunOptions) (Prototype, RunOptions) {
+		p.CheckpointEvery = 1
+		opts.CheckpointSink = func(obs.CheckpointRecord) {}
+		return p, opts
+	})
+}
 
-func BenchmarkEngineProfEnabled(b *testing.B) { benchEngineProf(b, true) }
+// BenchmarkEngineManifestEnabled attaches a capture and builds the run's
+// manifest row per iteration (no file IO).
+func BenchmarkEngineManifestEnabled(b *testing.B) {
+	benchEngineWith(b, func(p Prototype, opts RunOptions) (Prototype, RunOptions) {
+		p.Capture = obs.NewCapture()
+		return p, opts
+	})
+}
+
+// BenchmarkEngineAlertsEnabled runs the SLO alert engine in report mode
+// with the default rules.
+func BenchmarkEngineAlertsEnabled(b *testing.B) {
+	benchEngineWith(b, func(p Prototype, opts RunOptions) (Prototype, RunOptions) {
+		p.Alert = alerts.ModeReport
+		return p, opts
+	})
+}
+
+// BenchmarkEngineProfEnabled runs every iteration under its pprof cell
+// labels. A heap-only collector opens the label window without the CPU
+// profiler's sampling overhead distorting ns/op.
+func BenchmarkEngineProfEnabled(b *testing.B) {
+	c := prof.NewCollector(b.TempDir(), []string{"heap"})
+	if err := c.Start(); err != nil {
+		b.Fatal(err)
+	}
+	defer func() {
+		if err := c.Stop(); err != nil {
+			b.Fatal(err)
+		}
+	}()
+	benchEngineWith(b, func(p Prototype, opts RunOptions) (Prototype, RunOptions) { return p, opts })
+}
 
 // benchMultiSeed measures the multi-seed sweep at a fixed worker count.
 // The seed × scheme grid is the repo's heaviest embarrassingly-parallel

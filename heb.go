@@ -13,7 +13,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sync"
 	"time"
 
 	"heb/internal/core"
@@ -472,8 +471,7 @@ type RunOptions struct {
 // While a prof.Collector window is open (hebsim -profile) the whole run
 // executes under pprof labels {scheme, workload, seed, phase}, so CPU
 // samples attribute to the sweep cell and its lifecycle phase. The
-// disabled path costs one atomic load (BenchmarkEngineProfDisabled pins
-// its allocs/op to BenchmarkEngineStep's).
+// disabled path costs one atomic load.
 func (p Prototype) Run(id SchemeID, workload Workload, opts RunOptions) (sim.Result, error) {
 	return p.RunWith(nil, 0, id, workload, opts)
 }
@@ -619,175 +617,16 @@ func (p Prototype) run(id SchemeID, workload Workload, opts RunOptions, profCtx 
 			return sim.Result{}, fmt.Errorf("heb: resume chain: %w", err)
 		}
 	}
-	var ckptLog *obs.CheckpointLog
+	var rec *flightRecorder
 	if p.CheckpointEvery > 0 && (p.Capture != nil || opts.CheckpointSink != nil) {
-		ckptLog = obs.NewCheckpointLog()
-		// Seeding with the prior chain makes the resumed run's
-		// checkpoints.jsonl a byte-identical extension of it.
-		ckptLog.Seed(opts.ResumeCheckpoints)
+		rec = &flightRecorder{
+			every: p.CheckpointEvery, log: obs.NewCheckpointLog(),
+			events: capLog, decisions: capDecisions, probes: probes, alerter: alerter,
+			sink: opts.CheckpointSink, progress: p.Progress,
+		}
+		rec.start(opts.ResumeCheckpoints)
 	}
-	var checkpointFn func(slot, step int, now time.Duration, state []byte)
-	var checkpointDeltaFn func() bool
-	// Splice bases for delta records: how much of the event and decision
-	// logs the previous record (or the restored checkpoint) already
-	// carried. Owned by the single engine goroutine.
-	var ckptEventsBase, ckptDecisionsBase int
-	// ckptDrain joins the checkpoint tail worker: the record bytes are
-	// fully determined on the engine goroutine, but hashing, chain
-	// storage and sink delivery lag behind on a single worker so the
-	// engine can resume stepping. Every record is stored and delivered
-	// (in chain order) by the time drain returns; it runs right after
-	// the engine stops and, via the Once, on every early-error path.
-	var ckptDrain func()
-	if ckptLog != nil {
-		sink := opts.CheckpointSink
-		progress := p.Progress
-		// Keyframe cadence is a function of chain position alone, so a
-		// resumed chain continues the exact keyframe/delta sequence an
-		// uninterrupted run would have produced. The position is counted
-		// here rather than read from the log because the log trails the
-		// engine by whatever the tail worker has not stored yet.
-		chainLen := ckptLog.Len()
-		checkpointDeltaFn = func() bool { return chainLen%obs.DefaultKeyframeEvery != 0 }
-		type ckptItem struct {
-			slot, step int
-			seconds    float64
-			raw        json.RawMessage
-			delta      bool
-		}
-		var (
-			queue     chan ckptItem
-			workerErr any
-			workerWG  sync.WaitGroup
-			drainOnce sync.Once
-		)
-		// The alert engine is fed from the engine goroutine every step;
-		// feeding it chain hashes from the worker would race, so alerted
-		// runs keep the tail synchronous.
-		async := alerter == nil
-		store := func(it ckptItem) {
-			rec := ckptLog.AppendOwned(it.slot, it.step, it.seconds, it.raw, it.delta)
-			if alerter != nil {
-				alerter.ObserveCheckpoint(it.seconds, rec.Prev, rec.Hash)
-			}
-			if sink != nil {
-				sink(rec)
-			}
-			if progress != nil {
-				progress.AddCheckpoints(1)
-			}
-		}
-		if async {
-			queue = make(chan ckptItem, 8)
-			workerWG.Add(1)
-			go func() {
-				defer workerWG.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						workerErr = r
-						for range queue { // keep the engine from blocking on a dead worker
-						}
-					}
-				}()
-				for it := range queue {
-					store(it)
-				}
-			}()
-		}
-		ckptDrain = func() {
-			drainOnce.Do(func() {
-				if queue != nil {
-					close(queue)
-					workerWG.Wait()
-					if workerErr != nil {
-						panic(workerErr)
-					}
-				}
-			})
-		}
-		defer ckptDrain()
-		// ckptProbes is the engine goroutine's scratch buffer for the
-		// probe rings' encoding, reused across records. Only probed runs
-		// allocate it: checkpointFn captures the never-reassigned pointer
-		// by value, so a run without probes pays no allocation for it.
-		var ckptProbes *[]byte
-		if probes != nil {
-			ckptProbes = new([]byte)
-		}
-		checkpointFn = func(slot, step int, now time.Duration, state []byte) {
-			// The engine consulted checkpointDeltaFn for this same record;
-			// the chain position has not advanced in between, so the
-			// answers agree.
-			delta := chainLen%obs.DefaultKeyframeEvery != 0
-			// The engine state is already compact JSON, so the record is
-			// stitched around it instead of re-marshaled through a
-			// json.RawMessage field — Marshal would re-scan (compact) the
-			// whole payload on every record. The stitched bytes match what
-			// marshaling runCheckpointState/runCheckpointDelta produces, and
-			// the resume path still decodes through those types. The probe
-			// rings are stitched in the same way, as the obs object's last
-			// field (where both structs declare Probes), from the
-			// recorder's memoized encoding: only the samples recorded since
-			// the previous record are marshaled.
-			var obsRaw, probeRaw []byte
-			var err error
-			if capLog != nil || probes != nil {
-				if delta {
-					o := &runObsDelta{EventsBase: ckptEventsBase, DecisionsBase: ckptDecisionsBase}
-					if capLog != nil {
-						o.Events = capLog.EventsSince(ckptEventsBase)
-						o.EventsDropped = capLog.Dropped()
-						o.Decisions = capDecisions.RecordsSince(ckptDecisionsBase)
-					}
-					obsRaw, err = json.Marshal(o)
-				} else {
-					o := &runObsState{}
-					if capLog != nil {
-						o.Events = capLog.Events()
-						o.EventsDropped = capLog.Dropped()
-						o.Decisions = capDecisions.Records()
-					}
-					obsRaw, err = json.Marshal(o)
-				}
-				if err == nil && probes != nil {
-					probeRaw, err = probes.AppendStateJSON((*ckptProbes)[:0])
-					*ckptProbes = probeRaw
-				}
-				if err != nil {
-					panic(fmt.Sprintf("heb: marshal checkpoint: %v", err))
-				}
-			}
-			raw := make([]byte, 0, len(`{"engine":`)+len(state)+len(`,"obs":`)+len(obsRaw)+len(`,"probes":`)+len(probeRaw)+1)
-			raw = append(raw, `{"engine":`...)
-			raw = append(raw, state...)
-			if obsRaw != nil {
-				raw = append(raw, `,"obs":`...)
-				if probeRaw != nil {
-					raw = append(raw, obsRaw[:len(obsRaw)-1]...)
-					if len(obsRaw) > len(`{}`) {
-						raw = append(raw, ',')
-					}
-					raw = append(raw, `"probes":`...)
-					raw = append(raw, probeRaw...)
-					raw = append(raw, '}')
-				} else {
-					raw = append(raw, obsRaw...)
-				}
-			}
-			raw = append(raw, '}')
-			if capLog != nil {
-				ckptEventsBase = capLog.Len()
-				ckptDecisionsBase = capDecisions.Len()
-			}
-			chainLen++
-			it := ckptItem{slot: slot, step: step, seconds: now.Seconds(), raw: raw, delta: delta}
-			if queue != nil {
-				queue <- it
-				return
-			}
-			store(it)
-		}
-	}
+	defer rec.drain()
 
 	ctrlCfg := core.Config{
 		SmallPeakWatts:  p.SmallPeakWatts,
@@ -810,6 +649,11 @@ func (p Prototype) run(id SchemeID, workload Workload, opts RunOptions, profCtx 
 		if err != nil {
 			return sim.Result{}, err
 		}
+	}
+	if rec != nil {
+		// Delta records diff the PAT against its last emission; tracking
+		// must be live before the first step mutates the table.
+		ctrl.TrackCheckpointDeltas()
 	}
 
 	feed := opts.Feed
@@ -870,31 +714,50 @@ func (p Prototype) run(id SchemeID, workload Workload, opts RunOptions, profCtx 
 			s.SetFreq(workload.freq)
 		}
 	}
+	// The instruments run in list order at every point. Spans close a
+	// plan before the checkpoint taken after it, and the profiling label
+	// flips back to "steps" only once that checkpoint is encoded.
+	var buf [7]sim.Instrument
+	list := buf[:0]
+	if opts.Observer != nil {
+		list = append(list, sim.Observer(opts.Observer))
+	}
+	if span != nil {
+		list = append(list, sim.Spans(span))
+	}
+	if auditor != nil {
+		list = append(list, sim.Audit(auditor))
+	}
+	if alerter != nil {
+		list = append(list, sim.Alerts(alerter))
+	}
+	if probes != nil {
+		list = append(list, sim.Probes(probes, p.ProbeEvery))
+	}
+	if rec != nil {
+		list = append(list, rec)
+	}
+	if profCtx != nil {
+		list = append(list, sim.Prof(profCtx))
+	}
+	// One exactly sized allocation, none for a bare run.
+	instruments := append([]sim.Instrument(nil), list...)
 	engCfg := sim.Config{
-		Step:            p.Step,
-		Slot:            p.Slot,
-		Duration:        opts.Duration,
-		Servers:         servers,
-		Workload:        tr,
-		Battery:         battery,
-		Supercap:        scDev,
-		Feed:            feed,
-		Renewable:       opts.Renewable,
-		Controller:      ctrl,
-		Topology:        p.Topology,
-		ChargePriority:  charge,
-		Observer:        opts.Observer,
-		Events:          events,
-		Probes:          probes,
-		ProbeEvery:      p.ProbeEvery,
-		Audit:           auditor,
-		Alerts:          alerter,
-		Spans:           span,
-		MaxSteps:        opts.MaxSteps,
-		CheckpointEvery: p.CheckpointEvery,
-		Checkpoints:     checkpointFn,
-		CheckpointDelta: checkpointDeltaFn,
-		Prof:            profCtx,
+		Step:           p.Step,
+		Slot:           p.Slot,
+		Duration:       opts.Duration,
+		Servers:        servers,
+		Workload:       tr,
+		Battery:        battery,
+		Supercap:       scDev,
+		Feed:           feed,
+		Renewable:      opts.Renewable,
+		Controller:     ctrl,
+		Topology:       p.Topology,
+		ChargePriority: charge,
+		Events:         events,
+		Instruments:    instruments,
+		MaxSteps:       opts.MaxSteps,
 	}
 	var eng *sim.Engine
 	if st != nil {
@@ -942,8 +805,6 @@ func (p Prototype) run(id SchemeID, workload Workload, opts RunOptions, profCtx 
 			if capLog != nil {
 				capLog.Restore(cs.Obs.Events, cs.Obs.EventsDropped)
 				capDecisions.Restore(cs.Obs.Decisions)
-				ckptEventsBase = capLog.Len()
-				ckptDecisionsBase = capDecisions.Len()
 			}
 			if probes != nil {
 				if cs.Obs.Probes == nil {
@@ -960,11 +821,8 @@ func (p Prototype) run(id SchemeID, workload Workload, opts RunOptions, profCtx 
 			return sim.Result{}, err
 		}
 	}
-	prof.SetPhase(profCtx, prof.PhaseSteps)
 	res := eng.Run()
-	if ckptDrain != nil {
-		ckptDrain()
-	}
+	rec.drain()
 	prof.SetPhase(profCtx, prof.PhaseFinish)
 	// A trailing slot the run ended inside still deserves its record, so
 	// the decision count always equals SlotCount.
@@ -1016,8 +874,8 @@ func (p Prototype) run(id SchemeID, workload Workload, opts RunOptions, profCtx 
 			artifact.Probes = probes.Samples()
 			artifact.ProbesDropped = probes.Dropped()
 		}
-		if ckptLog != nil {
-			artifact.Checkpoints = ckptLog.Records()
+		if rec != nil {
+			artifact.Checkpoints = rec.log.Records()
 		}
 		if auditor != nil {
 			artifact.Audit = &audit

@@ -110,8 +110,8 @@ type HoltWinters struct {
 	warmup       []float64
 }
 
-// NewHoltWinters builds a smoother from cfg.
-func NewHoltWinters(cfg HoltWintersConfig) (*HoltWinters, error) {
+// newHoltWinters builds a smoother from cfg.
+func newHoltWinters(cfg HoltWintersConfig) (*HoltWinters, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -120,9 +120,9 @@ func NewHoltWinters(cfg HoltWintersConfig) (*HoltWinters, error) {
 	return hw, nil
 }
 
-// MustNewHoltWinters is NewHoltWinters for known-good configs.
+// MustNewHoltWinters is newHoltWinters for known-good configs.
 func MustNewHoltWinters(cfg HoltWintersConfig) *HoltWinters {
-	hw, err := NewHoltWinters(cfg)
+	hw, err := newHoltWinters(cfg)
 	if err != nil {
 		panic(err)
 	}

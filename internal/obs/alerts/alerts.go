@@ -95,8 +95,8 @@ func (s Severity) String() string {
 	return fmt.Sprintf("Severity(%d)", int(s))
 }
 
-// ParseSeverity inverts String.
-func ParseSeverity(s string) (Severity, error) {
+// parseSeverity inverts String.
+func parseSeverity(s string) (Severity, error) {
 	for i, name := range severityNames {
 		if name == s {
 			return Severity(i), nil
@@ -116,7 +116,7 @@ func (s *Severity) UnmarshalJSON(b []byte) error {
 	if err := json.Unmarshal(b, &name); err != nil {
 		return err
 	}
-	sev, err := ParseSeverity(name)
+	sev, err := parseSeverity(name)
 	if err != nil {
 		return err
 	}
@@ -613,8 +613,8 @@ const (
 	HealthCritical = "critical"
 )
 
-// HealthFor derives the verdict from fired counts.
-func HealthFor(warnings, criticals int) string {
+// healthFor derives the verdict from fired counts.
+func healthFor(warnings, criticals int) string {
 	switch {
 	case criticals > 0:
 		return HealthCritical
@@ -655,7 +655,7 @@ func (a *Engine) Report() Report {
 		Overflow:  a.overflow,
 		Warnings:  a.warns,
 		Criticals: a.crits,
-		Health:    HealthFor(a.warns, a.crits),
+		Health:    healthFor(a.warns, a.crits),
 	}
 	for k, n := range a.counts {
 		if n > 0 {

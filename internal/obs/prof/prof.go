@@ -93,8 +93,7 @@ func KindFromFile(name string) (string, bool) {
 
 // active is the process-wide profiling switch. Prototype.Run consults it
 // on the hot path with a single atomic load, so disabled runs pay nothing
-// measurable (proven by BenchmarkEngineProfDisabled == BenchmarkEngineStep
-// allocs/op).
+// measurable (BenchmarkEngineStep's exact allocs/op gate covers them).
 var active atomic.Bool
 
 // Active reports whether a Collector is currently running.

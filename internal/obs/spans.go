@@ -202,12 +202,12 @@ func (t *Tracer) Events() []TraceEvent {
 // WriteChromeTrace writes the tracer in Chrome trace-event JSON array
 // format. Output is deterministic for virtual-clock tracers.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
-	return WriteTraceEvents(w, t.Events())
+	return writeTraceEvents(w, t.Events())
 }
 
-// WriteTraceEvents writes events as a JSON array, one event per line for
+// writeTraceEvents writes events as a JSON array, one event per line for
 // diffability.
-func WriteTraceEvents(w io.Writer, events []TraceEvent) error {
+func writeTraceEvents(w io.Writer, events []TraceEvent) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString("[\n"); err != nil {
 		return fmt.Errorf("obs: write trace: %w", err)

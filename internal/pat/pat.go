@@ -390,7 +390,9 @@ func (t *Table) Save(w io.Writer) error {
 	return nil
 }
 
-// Load reads a table saved by Save.
+// Load reads a table saved by Save. It rejects tables that break the
+// invariants Add keeps: more entries than MaxEntries, a ratio outside
+// [0,1], a negative counter or a key listed twice.
 func Load(r io.Reader) (*Table, error) {
 	var tj tableJSON
 	if err := json.NewDecoder(r).Decode(&tj); err != nil {
@@ -400,7 +402,18 @@ func Load(r io.Reader) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	if len(tj.Entries) > tj.Config.MaxEntries {
+		return nil, fmt.Errorf("pat: load: %d entries exceed max entries %d", len(tj.Entries), tj.Config.MaxEntries)
+	}
 	for _, e := range tj.Entries {
+		switch {
+		case !(e.Ratio >= 0 && e.Ratio <= 1):
+			return nil, fmt.Errorf("pat: load: entry %+v ratio %g outside [0,1]", e.Key, e.Ratio)
+		case e.Hits < 0 || e.Updates < 0:
+			return nil, fmt.Errorf("pat: load: entry %+v has negative counters (hits %d, updates %d)", e.Key, e.Hits, e.Updates)
+		case t.entries[e.Key] != nil:
+			return nil, fmt.Errorf("pat: load: entry %+v listed twice", e.Key)
+		}
 		e := e
 		t.entries[e.Key] = &e
 	}

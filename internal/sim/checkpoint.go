@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"heb/internal/core"
@@ -71,7 +70,7 @@ type EngineState struct {
 	Feed *power.UtilityFeedState `json:"feed,omitempty"`
 
 	// The metric series and the controller are declared last, omitempty:
-	// emitCheckpoint marshals the state with these fields empty (the
+	// AppendCheckpoint marshals the state with these fields empty (the
 	// reflected "head") and hand-appends them — the series through the
 	// jsonx fast path, the controller through its own stitcher — so the
 	// result still matches json.Marshal's field order byte-for-byte.
@@ -81,32 +80,12 @@ type EngineState struct {
 	Controller   *core.ControllerState `json:"controller,omitempty"`
 }
 
-// Checkpoint assembles the engine's current state. It is meaningful only
-// at a slot boundary (after finishSlot and the next planSlot), which is
-// where Run invokes it.
-func (e *Engine) Checkpoint() (EngineState, error) {
-	st, err := e.checkpoint()
-	if err != nil {
-		return EngineState{}, err
-	}
-	ctrl, err := e.cfg.Controller.Checkpoint()
-	if err != nil {
-		return EngineState{}, fmt.Errorf("sim: checkpoint controller: %w", err)
-	}
-	st.Controller = &ctrl
-	// Callers own the returned state; detach it from the live series.
-	st.DemandSeries = append([]float64(nil), st.DemandSeries...)
-	st.SlotPeaks = append([]float64(nil), st.SlotPeaks...)
-	st.SlotValleys = append([]float64(nil), st.SlotValleys...)
-	return st, nil
-}
-
 // checkpoint assembles the state with the series fields aliasing the
-// engine's live slices — emitCheckpoint marshals immediately, so it skips
-// the defensive copy Checkpoint makes for external callers. The
-// controller is left to the caller: the full and delta paths encode it
-// differently, and assembling the full PAT just to discard it would
-// dominate the delta path's cost.
+// engine's live slices, which AppendCheckpoint marshals at once. It is
+// meaningful only at a slot boundary (after finishSlot and the next
+// planSlot). The controller is left to the caller: the full and delta
+// paths encode it differently, and assembling the full PAT just to
+// discard it would dominate the delta path's cost.
 func (e *Engine) checkpoint() (EngineState, error) {
 	st := EngineState{
 		Steps:         e.steps,
@@ -176,38 +155,26 @@ func appendSeriesField(b []byte, key string, s []float64) []byte {
 	return jsonx.AppendFloats(b, s)
 }
 
-// ckptBufPool holds the serialization buffers emitCheckpoint stitches
-// records into. A buffer is borrowed for the duration of one emission
-// (the sink must copy what it keeps) and returned grown, so after the
-// first keyframe has sized it, emissions allocate nothing for the
-// record itself — no matter how many short-lived engines come and go.
-var ckptBufPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 64<<10)
-	return &b
-}}
-
-// emitCheckpoint serializes the state into a pooled buffer and hands it
-// to the configured sink (which must copy — the buffer goes back to the
-// pool when the sink returns). It runs only at checkpointed slot
-// boundaries, never in the hot loop.
+// AppendCheckpoint appends the engine's serialized state (see
+// EngineState) to b. It is meant for AfterPlan at a slot boundary, which
+// is where the state resumes from; the flight recorder calls it there.
 //
 // The document is stitched rather than marshaled in one reflection pass:
 // the reflected "head" (everything but the metric series and the
 // controller) is cheap, while the series and the PAT — the two parts
 // whose size grows with run length and table size — go through
-// hand-rolled encoders. When cfg.CheckpointDelta approves, the record is
-// delta-encoded: the series carry only the samples grown since the
-// previous emission (tagged with "<key>@base" splice offsets) and the
-// PAT travels as a keyed-merge patch of the entries the slot touched, so
-// a record's cost tracks slot activity instead of run history.
-func (e *Engine) emitCheckpoint(slot, step int, now time.Duration) {
-	delta := e.cfg.CheckpointDelta != nil && e.cfg.CheckpointDelta()
+// hand-rolled encoders. With delta, the record is delta-encoded against
+// the previous one: the series carry only the samples grown since then
+// (tagged with "<key>@base" splice offsets) and the PAT travels as a
+// keyed-merge patch of the entries the slot touched, so a record's cost
+// tracks slot activity instead of run history. The first record of a
+// chain must be full, and delta PAT patches need the controller's
+// TrackCheckpointDeltas before the run starts.
+func (v *View) AppendCheckpoint(b []byte, delta bool) ([]byte, error) {
+	e := v.e
 	st, err := e.checkpoint()
 	if err != nil {
-		// State assembly fails only on a device/predictor type the
-		// serializer does not know; surface loudly rather than record a
-		// silently broken chain.
-		panic(fmt.Sprintf("sim: checkpoint at slot %d: %v", slot, err))
+		return b, err
 	}
 	// The head reflects everything except the series and controller;
 	// both are declared omitempty and left unset here.
@@ -215,10 +182,9 @@ func (e *Engine) emitCheckpoint(slot, step int, now time.Duration) {
 	st.DemandSeries, st.SlotPeaks, st.SlotValleys = nil, nil, nil
 	head, err := json.Marshal(st)
 	if err != nil {
-		panic(fmt.Sprintf("sim: marshal checkpoint at slot %d: %v", slot, err))
+		return b, fmt.Errorf("sim: marshal checkpoint: %w", err)
 	}
-	bp := ckptBufPool.Get().(*[]byte)
-	b := append((*bp)[:0], head[:len(head)-1]...)
+	b = append(b, head[:len(head)-1]...)
 	if delta {
 		b = appendSeriesField(b, `,"demand_series":`, series[0][e.ckptDemandLen:])
 		b = appendSeriesField(b, `,"slot_peaks":`, series[1][e.ckptPeaksLen:])
@@ -238,34 +204,35 @@ func (e *Engine) emitCheckpoint(slot, step int, now time.Duration) {
 	if delta {
 		cd, err := e.cfg.Controller.CheckpointDelta()
 		if err != nil {
-			panic(fmt.Sprintf("sim: checkpoint controller at slot %d: %v", slot, err))
+			return b, fmt.Errorf("sim: checkpoint controller: %w", err)
 		}
 		cb, err := json.Marshal(cd)
 		if err != nil {
-			panic(fmt.Sprintf("sim: marshal controller delta at slot %d: %v", slot, err))
+			return b, fmt.Errorf("sim: marshal controller delta: %w", err)
 		}
 		b = append(b, cb...)
-	} else {
-		if b, err = e.cfg.Controller.AppendCheckpointJSON(b); err != nil {
-			panic(fmt.Sprintf("sim: checkpoint controller at slot %d: %v", slot, err))
-		}
+	} else if b, err = e.cfg.Controller.AppendCheckpointJSON(b); err != nil {
+		return b, fmt.Errorf("sim: checkpoint controller: %w", err)
 	}
 	b = append(b, '}')
-	// Every emission — keyframe or delta — becomes the next delta's
+	// Every record — keyframe or delta — becomes the next delta's
 	// baseline: the series lengths and the PAT marks both reset here.
 	e.ckptDemandLen = len(e.demandSeries)
 	e.ckptPeaksLen = len(e.slotPeaks)
 	e.ckptValleysLen = len(e.slotValleys)
 	e.cfg.Controller.MarkCheckpointed()
-	e.cfg.Checkpoints(slot, step, now, b)
-	*bp = b
-	ckptBufPool.Put(bp)
+	return b, nil
 }
 
-// Restore overwrites the engine's state from a checkpoint taken by an
-// engine of the same configuration. The next Run resumes at the
-// checkpointed step with the checkpointed slot plan already in flight.
-func (e *Engine) Restore(st EngineState) error {
+// RestoreJSON overwrites the engine's state from a checkpoint (as
+// AppendCheckpoint encodes it, materialized if delta) taken by an engine
+// of the same configuration. The next Run resumes at the checkpointed
+// step with the checkpointed slot plan already in flight.
+func (e *Engine) RestoreJSON(raw []byte) error {
+	var st EngineState
+	if err := json.Unmarshal(raw, &st); err != nil {
+		return fmt.Errorf("sim: decode checkpoint: %w", err)
+	}
 	if st.Steps < 0 {
 		return fmt.Errorf("sim: restore negative step count %d", st.Steps)
 	}
@@ -347,14 +314,4 @@ func (e *Engine) Restore(st EngineState) error {
 	e.ckptPeaksLen = len(e.slotPeaks)
 	e.ckptValleysLen = len(e.slotValleys)
 	return nil
-}
-
-// RestoreJSON is Restore from the serialized form the checkpoint sink
-// received.
-func (e *Engine) RestoreJSON(raw []byte) error {
-	var st EngineState
-	if err := json.Unmarshal(raw, &st); err != nil {
-		return fmt.Errorf("sim: decode checkpoint: %w", err)
-	}
-	return e.Restore(st)
 }

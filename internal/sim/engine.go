@@ -7,17 +7,15 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
 	"heb/internal/core"
 	"heb/internal/esd"
 	"heb/internal/obs"
-	"heb/internal/obs/alerts"
-	"heb/internal/obs/prof"
 	"heb/internal/power"
 	"heb/internal/trace"
 	"heb/internal/units"
@@ -92,22 +90,16 @@ type Config struct {
 	// as recently used for LRU shedding.
 	ActivityThreshold float64
 
-	// Observer, when set, receives a StepInfo after every engine tick —
-	// the hook the telemetry monitor (prototype item 5, "system
-	// real-time running state monitoring") attaches to. The engine calls
-	// it synchronously from whichever goroutine is executing Run, never
-	// from any other goroutine, so an observer used by a single run needs
-	// no locking; an observer shared between concurrent runs (e.g. cells
-	// of a parallel sweep) must synchronize itself.
-	Observer func(StepInfo)
+	// Instruments observe the run through the engine's one
+	// instrumentation seam (see Instrument). An empty list is the fast
+	// path: the hot loop checks its length once per step.
+	Instruments []Instrument
 
 	// Events, when set, receives the engine's discrete events: run
 	// start/end, every effective relay movement (classified as shed,
 	// restore, battery<->SC handoff or plain switch), charge-mode changes,
-	// mismatch window begin/end, and PAT hit/miss per slot plan. The sink
-	// is called synchronously from the engine goroutine. A nil sink is the
-	// fast path: no event values are built at all, so the hot loop stays
-	// allocation-free (guarded by BenchmarkEngineObsDisabled).
+	// mismatch window begin/end, and PAT hit/miss per slot plan, from
+	// inside the steps, synchronously. Nil builds no event values at all.
 	Events obs.EventSink
 
 	// DVFSCapping enables the performance-scaling baseline the paper
@@ -118,75 +110,15 @@ type Config struct {
 	// performance penalty energy buffers exist to avoid.
 	DVFSCapping bool
 
-	// Probes, when set, receives decimated per-device state samples (SoC,
-	// voltage, charge wells, Ah-throughput) for every battery string and
-	// super-capacitor bank in the pools. A nil recorder is the fast path:
-	// no snapshots are taken and the hot loop stays allocation-free
-	// (guarded by BenchmarkEngineProbesDisabled).
-	Probes *obs.ProbeRecorder
-	// ProbeEvery is the probe decimation in steps (default 60: one
-	// sample per simulated minute at the 1 s step).
-	ProbeEvery int
-
-	// Audit, when set, runs the energy-conservation auditor: a per-step
-	// bus ledger plus device bound and relay-exclusivity checks. With a
-	// strict auditor the run aborts at the first violation.
-	Audit *obs.Auditor
-
-	// Alerts, when set, runs the online SLO rule engine: per-step SoC
-	// floor/ceiling and DoD-excursion checks on every probed device, the
-	// mismatch-window clock, bus-ledger drift (sharing the auditor's
-	// ledger deltas), bus ramp rate, relay exclusivity, and an
-	// end-of-run battery wear-rate check. Fired alerts are bridged to
-	// Events as EventAlert. With a strict engine the run aborts once a
-	// critical alert has fired. A nil engine is the fast path: no
-	// observations are taken and the hot loop stays allocation-free
-	// (guarded by BenchmarkEngineAlertsDisabled).
-	Alerts *alerts.Engine
-
-	// Spans, when set, is the trace track this run records its span
-	// hierarchy on (run → slot plan/finish → step batches).
-	Spans *obs.Track
-
-	// Checkpoints, when set together with a positive CheckpointEvery,
-	// receives the engine's serialized state (see EngineState) at
-	// checkpointed slot boundaries — after the boundary's finish/plan,
-	// before the first step of the new slot. The state buffer is reused
-	// by the next emission; the sink must copy what it keeps. A nil sink
-	// is the fast path: no state is assembled at all, so the hot loop
-	// stays allocation-free (guarded by BenchmarkEngineCheckpointDisabled).
-	Checkpoints func(slot, step int, now time.Duration, state []byte)
-	// CheckpointEvery is the checkpoint decimation in control slots
-	// (1 = every slot boundary). Zero disables checkpointing even when
-	// a sink is installed.
-	CheckpointEvery int
-	// CheckpointDelta, when set, is consulted at each checkpoint emission:
-	// returning true delta-encodes the record against the engine's previous
-	// emission (metric series carry only their new suffix, tagged with
-	// "<key>@base" splice offsets), false emits full state. The chain owner
-	// uses it to align keyframes with its record count; it must return
-	// false for the first record of a fresh chain. Nil always emits full
-	// state (the v1 behaviour).
-	CheckpointDelta func() bool
-
 	// MaxSteps, when positive, stops the run after executing steps
 	// [0, MaxSteps) — or [startStep, MaxSteps) when resuming — without
 	// the usual end-of-run bookkeeping (no trailing slot finish, no
 	// run_end event). It is the substrate of windowed replay and of the
 	// kill half of kill-and-resume tests.
 	MaxSteps int
-
-	// Prof, when set, is the cell-labeled pprof context (see
-	// internal/obs/prof): at control-slot boundaries the engine flips the
-	// goroutine's phase label to "plan" around finishSlot/planSlot and
-	// back to "steps" after, so CPU samples separate the control path
-	// from the hot loop. Nil (profiling off) is the fast path: the label
-	// switch is never evaluated inside the per-step loop, only at slot
-	// boundaries, and a nil context returns immediately.
-	Prof context.Context
 }
 
-// StepInfo is the per-tick state snapshot passed to Config.Observer.
+// StepInfo is the per-tick state snapshot an Observer instrument receives.
 type StepInfo struct {
 	// Now is the simulation time of the completed tick.
 	Now time.Duration
@@ -245,9 +177,6 @@ func (c Config) withDefaults() Config {
 	if c.ActivityThreshold == 0 {
 		c.ActivityThreshold = 0.05
 	}
-	if c.ProbeEvery <= 0 {
-		c.ProbeEvery = 60
-	}
 	return c
 }
 
@@ -286,7 +215,7 @@ type Engine struct {
 	degradedSecs float64
 
 	// startStep is the first step index Run executes: zero for a fresh
-	// run, the checkpointed step count after Restore.
+	// run, the checkpointed step count after RestoreJSON.
 	startStep int
 
 	// Accounting.
@@ -313,42 +242,14 @@ type Engine struct {
 	lruScratch      []int         // LRU id buffer for select/shed
 	ovSorter        overloadSorter
 
-	// Probe/audit/alert state, built in Run only when cfg.Probes,
-	// cfg.Audit or cfg.Alerts is set: the enumerated pool devices and
-	// the cumulative ledger baselines for per-step delta measurement.
-	probeTargets []probeTarget
-	ledger       ledgerState
-
-	// alertMismatchPrev is the alert engine's last-seen mismatchSteps
-	// count; comparing it per step detects in-mismatch ticks without the
-	// Events-gated inMismatch flag.
-	alertMismatchPrev int
+	// v is what the instruments see; it lives on the engine so an
+	// instrumented run allocates no view of its own.
+	v View
 
 	// Delta-checkpoint state: how much of each metric series the last
 	// emitted (or restored) checkpoint already carried, so a delta record
 	// needs only the suffix grown since then.
 	ckptDemandLen, ckptPeaksLen, ckptValleysLen int
-}
-
-// probeTarget is one probed storage device within a run.
-type probeTarget struct {
-	name string
-	dev  esd.Prober
-	// battery marks a battery-pool device. The SoC floor/ceiling and DoD
-	// alert rules scope to these: supercaps deep-cycle through their full
-	// window by design, so charge-protection SLOs only apply to batteries.
-	battery bool
-}
-
-// ledgerState holds the auditor's previous-step cumulative readings; the
-// per-step bus ledger is measured as deltas of these.
-type ledgerState struct {
-	utilityDrawn units.Energy // e.utilityDrawn
-	meterUtility units.Energy // fabric meter utility credit
-	served       units.Energy // e.servedBA + e.servedSC
-	devIn        units.Energy // sum of device Stats().EnergyIn
-	devOut       units.Energy // sum of device Stats().EnergyOut
-	convLoss     units.Energy // discharge + utility converter losses
 }
 
 // overloadSorter orders server ids by descending demand (id ascending on
@@ -371,38 +272,9 @@ func (s *overloadSorter) Less(i, j int) bool {
 
 // New builds an engine; defaults are applied before validation.
 func New(cfg Config) (*Engine, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
+	e := &Engine{}
+	if err := e.Reset(cfg); err != nil {
 		return nil, err
-	}
-	fabric, err := power.NewFabric(cfg.Servers)
-	if err != nil {
-		return nil, err
-	}
-	var peak units.Power
-	for _, s := range cfg.Servers {
-		peak += s.PeakDemand()
-	}
-	n := len(cfg.Servers)
-	e := &Engine{
-		cfg:             cfg,
-		fabric:          fabric,
-		dischargeConv:   cfg.Topology.DischargeConverter(peak),
-		utilityConv:     cfg.Topology.UtilityConverter(peak),
-		demandByIdx:     make([]units.Power, n),
-		keepScratch:     make([]bool, n),
-		overloadScratch: make([]int, 0, n),
-		orderScratch:    make([]int, 0, n),
-		lruScratch:      make([]int, 0, n),
-	}
-	e.ovSorter.e = e
-	if cfg.Events != nil {
-		e.fabric.SetSwitchListener(e.emitSwitch)
-	}
-	if cfg.CheckpointDelta != nil {
-		// Delta records diff the PAT against its last emission; tracking
-		// must be live before the first step mutates the table.
-		cfg.Controller.TrackCheckpointDeltas()
 	}
 	return e, nil
 }
@@ -454,91 +326,59 @@ func sizeSeries(s []float64, keep, want int) []float64 {
 // Reset rebinds the engine to a new run configuration while keeping every
 // allocation the previous run made: the relay fabric (when the server set
 // is unchanged), the hot-loop scratch, the metric-series backing arrays
-// and the probe-target list are all reused. The Config is the immutable
-// per-run plan; everything else on the Engine is mutable run state that
-// this call returns to its post-New zero. Callers own resetting the
-// injected components (servers, pools, feed, controller) — the engine only
-// resets what it built itself. A Reset engine produces bit-for-bit the
-// same results as a freshly built one for the same configuration.
+// and the instruments' device list. Everything else on the Engine is run
+// state that returns to its zero; New is Reset on an empty engine.
+// Callers own resetting the injected components (servers, pools, feed,
+// controller) — the engine only resets what it built itself. A Reset
+// engine produces bit-for-bit the same results as a freshly built one for
+// the same configuration.
 func (e *Engine) Reset(cfg Config) error {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	sameServers := len(cfg.Servers) == len(e.cfg.Servers)
-	if sameServers {
-		for i, s := range cfg.Servers {
-			if s != e.cfg.Servers[i] {
-				sameServers = false
-				break
-			}
-		}
-	}
-	if sameServers {
-		e.fabric.Reset()
+	fabric := e.fabric
+	if slices.Equal(cfg.Servers, e.cfg.Servers) {
+		fabric.Reset()
 	} else {
-		fabric, err := power.NewFabric(cfg.Servers)
-		if err != nil {
+		var err error
+		if fabric, err = power.NewFabric(cfg.Servers); err != nil {
 			return err
 		}
-		e.fabric = fabric
 	}
 	var peak units.Power
 	for _, s := range cfg.Servers {
 		peak += s.PeakDemand()
 	}
-	e.cfg = cfg
-	e.dischargeConv = cfg.Topology.DischargeConverter(peak)
-	e.utilityConv = cfg.Topology.UtilityConverter(peak)
-	if cfg.Events != nil {
-		e.fabric.SetSwitchListener(e.emitSwitch)
-	} else {
-		e.fabric.SetSwitchListener(nil)
-	}
-
 	if n := len(cfg.Servers); len(e.demandByIdx) != n {
-		e.demandByIdx = make([]units.Power, n)
-		e.keepScratch = make([]bool, n)
-		e.overloadScratch = make([]int, 0, n)
-		e.orderScratch = make([]int, 0, n)
-		e.lruScratch = make([]int, 0, n)
+		e.demandByIdx, e.keepScratch = make([]units.Power, n), make([]bool, n)
+		e.overloadScratch, e.orderScratch, e.lruScratch = make([]int, 0, n), make([]int, 0, n), make([]int, 0, n)
 	}
-
-	e.decision = core.Decision{}
-	e.view = core.SlotView{}
-	e.slotPeak, e.slotValley, e.slotHasSample = 0, 0, false
-	e.now = 0
-	e.inMismatch = false
-	e.lastMode, e.haveMode = 0, false
-	e.lastShed, e.hasShed = 0, false
-	if e.cappedFrom != nil {
-		clear(e.cappedFrom)
+	clear(e.cappedFrom)
+	*e = Engine{
+		cfg:             cfg,
+		fabric:          fabric,
+		dischargeConv:   cfg.Topology.DischargeConverter(peak),
+		utilityConv:     cfg.Topology.UtilityConverter(peak),
+		cappedFrom:      e.cappedFrom,
+		demandSeries:    e.demandSeries[:0],
+		slotPeaks:       e.slotPeaks[:0],
+		slotValleys:     e.slotValleys[:0],
+		demandByIdx:     e.demandByIdx,
+		keepScratch:     e.keepScratch,
+		overloadScratch: e.overloadScratch,
+		orderScratch:    e.orderScratch,
+		lruScratch:      e.lruScratch,
+		v:               View{devices: e.v.devices, probed: e.v.probed},
 	}
-	e.degradedSecs = 0
-	e.startStep = 0
-	e.servedSC, e.servedBA = 0, 0
-	e.renewGen, e.renewUsed = 0, 0
-	e.renewStored, e.renewSpilled = 0, 0
-	e.utilityDrawn, e.utilityPeak = 0, 0
-	e.initialStored = 0
-	e.demandSeries = e.demandSeries[:0]
-	e.slotPeaks = e.slotPeaks[:0]
-	e.slotValleys = e.slotValleys[:0]
-	e.shedEvents = 0
-	e.mismatchSteps, e.steps = 0, 0
-	e.probeTargets = e.probeTargets[:0]
-	e.ledger = ledgerState{}
-	e.alertMismatchPrev = 0
-	e.ckptDemandLen, e.ckptPeaksLen, e.ckptValleysLen = 0, 0, 0
-	if cfg.CheckpointDelta != nil {
-		cfg.Controller.TrackCheckpointDeltas()
+	e.ovSorter.e, e.v.e = e, e
+	var listener func(int, power.Source, power.Source)
+	if cfg.Events != nil {
+		listener = e.emitSwitch
 	}
+	fabric.SetSwitchListener(listener)
 	return nil
 }
-
-// stepBatchSize is how many engine steps share one "steps" trace span —
-// one span per step would swamp the trace with sub-microsecond slivers.
-const stepBatchSize = 600
 
 // Run executes the full simulation and returns its metrics.
 func (e *Engine) Run() Result {
@@ -567,112 +407,55 @@ func (e *Engine) Run() Result {
 		e.slotValleys = sizeSeries(e.slotValleys, len(e.slotValleys), nSlots)
 	}
 
-	if cfg.Probes != nil || cfg.Audit != nil || cfg.Alerts != nil {
-		e.buildProbeTargets()
+	instrumented := len(cfg.Instruments) > 0
+	v := &e.v
+	v.step, v.now, v.slotSteps, v.ending = e.startStep, time.Duration(e.startStep)*cfg.Step, slotSteps, false
+	if instrumented {
+		v.devicesBuilt = false
+		v.ledger = e.ledgerNow()
+		v.tick++
+		e.notify(RunStart)
 	}
-	if cfg.Audit != nil || cfg.Alerts != nil {
-		e.resetLedger()
-	}
-	if cfg.Audit != nil {
-		for _, t := range e.probeTargets {
-			s := t.dev.ProbeSnapshot()
-			cfg.Audit.StartDevice(t.name, s.EnergyInWh, s.EnergyOutWh, s.LossWh, s.StoredWh)
-		}
-	}
-
 	if cfg.Events != nil && e.startStep == 0 {
 		cfg.Events.Emit(obs.Event{
 			Kind: obs.EventRunStart, Server: -1,
 			Detail: cfg.Controller.Scheme().Name(),
 		})
 	}
-	span := cfg.Spans
-	span.Begin("run", "engine")
 	if e.startStep == 0 {
-		if cfg.Prof != nil {
-			prof.SetPhase(cfg.Prof, prof.PhasePlan)
-		}
 		e.planSlot(0)
-		if cfg.Prof != nil {
-			prof.SetPhase(cfg.Prof, prof.PhaseSteps)
-		}
 	}
-	batch := 0
 	aborted := false
 	stopped := false
 	for i := e.startStep; i < steps; i++ {
 		now := time.Duration(i) * cfg.Step
+		v.step, v.now = i, now
 		if i > e.startStep && i%slotSteps == 0 {
-			if batch > 0 {
-				span.End()
-				batch = 0
-			}
-			if cfg.Prof != nil {
-				prof.SetPhase(cfg.Prof, prof.PhasePlan)
-			}
 			e.finishSlot()
 			e.planSlot(now)
-			if cfg.Checkpoints != nil && cfg.CheckpointEvery > 0 && (i/slotSteps)%cfg.CheckpointEvery == 0 {
-				e.emitCheckpoint(i/slotSteps, i, now)
-			}
-			if cfg.Prof != nil {
-				prof.SetPhase(cfg.Prof, prof.PhaseSteps)
-			}
 		}
 		if cfg.MaxSteps > 0 && i >= cfg.MaxSteps {
 			stopped = true
 			break
 		}
-		if span != nil && batch == 0 {
-			span.Begin("steps", "engine")
-		}
 		e.step(now)
-		if span != nil {
-			span.Advance(obs.VirtualStepUS)
-			batch++
-			if batch == stepBatchSize {
-				span.End()
-				batch = 0
+		if instrumented {
+			v.tick++
+			if e.notify(AfterStep) {
+				aborted = true
+				break
 			}
-		}
-		if cfg.Audit != nil || cfg.Alerts != nil {
-			inWh, outWh := e.ledgerStep()
-			if cfg.Audit != nil {
-				e.auditStep(now, inWh, outWh)
-			}
-			if cfg.Alerts != nil {
-				e.alertStep(now, inWh, outWh)
-			}
-		}
-		if cfg.Probes != nil && i%cfg.ProbeEvery == 0 {
-			e.recordProbes(now)
-		}
-		if cfg.Audit != nil && cfg.Audit.Strict() && cfg.Audit.Violated() {
-			aborted = true
-			break
-		}
-		if cfg.Alerts != nil && cfg.Alerts.Strict() && cfg.Alerts.Violated() {
-			aborted = true
-			break
 		}
 	}
-	if batch > 0 {
-		span.End()
-	}
+	v.ending = true
 	if !stopped {
 		// A MaxSteps stop is mid-slot by construction: the trailing slot
 		// stays open so a resumed or windowed continuation finishes it.
 		e.finishSlot()
 	}
-	span.End()
-	if cfg.Audit != nil {
-		for _, t := range e.probeTargets {
-			s := t.dev.ProbeSnapshot()
-			cfg.Audit.EndDevice(t.name, s.EnergyInWh, s.EnergyOutWh, s.LossWh, s.StoredWh)
-		}
-	}
-	if cfg.Alerts != nil {
-		e.alertFinish()
+	if instrumented {
+		v.tick++
+		e.notify(RunEnd)
 	}
 	if cfg.Events != nil && !stopped {
 		end := cfg.Duration.Seconds()
@@ -688,244 +471,9 @@ func (e *Engine) Run() Result {
 	return e.result()
 }
 
-// buildProbeTargets enumerates the pools' individual storage devices.
-// Pool members get stable "<pool>/<index>" names; a bare device uses the
-// pool name alone. Devices that cannot be probed, or hold no usable
-// window at all (the Null placeholder), are skipped.
-func (e *Engine) buildProbeTargets() {
-	e.probeTargets = e.probeTargets[:0]
-	add := func(pool string, dev esd.Device, battery bool) {
-		if p, ok := dev.(*esd.Pool); ok {
-			for i, m := range p.Members() {
-				if pr, ok := m.(esd.Prober); ok {
-					e.addProbeTarget(fmt.Sprintf("%s/%d", pool, i), pr, battery)
-				}
-			}
-			return
-		}
-		if pr, ok := dev.(esd.Prober); ok {
-			e.addProbeTarget(pool, pr, battery)
-		}
-	}
-	add("battery", e.cfg.Battery, true)
-	if e.cfg.Supercap != nil {
-		add("supercap", e.cfg.Supercap, false)
-	}
-}
-
-func (e *Engine) addProbeTarget(name string, pr esd.Prober, battery bool) {
-	s := pr.ProbeSnapshot()
-	if s.CapacityAh == 0 && s.CapacityWh == 0 {
-		return
-	}
-	e.probeTargets = append(e.probeTargets, probeTarget{name: name, dev: pr, battery: battery})
-}
-
-// recordProbes samples every probe target into the recorder.
-func (e *Engine) recordProbes(now time.Duration) {
-	sec := now.Seconds()
-	for _, t := range e.probeTargets {
-		s := t.dev.ProbeSnapshot()
-		e.cfg.Probes.Record(t.name, sec, s.SoC, s.VoltageV, s.AvailAh, s.BoundAh, s.ThroughputAh, s.NetOutWh())
-	}
-}
-
-// resetLedger initializes the auditor's cumulative baselines.
-func (e *Engine) resetLedger() {
-	devIn, devOut := e.deviceEnergy()
-	e.ledger = ledgerState{
-		utilityDrawn: e.utilityDrawn,
-		meterUtility: e.fabric.Meter().Utility,
-		served:       e.servedBA + e.servedSC,
-		devIn:        devIn,
-		devOut:       devOut,
-		convLoss:     e.dischargeConv.Loss() + e.utilityConv.Loss(),
-	}
-}
-
-// deviceEnergy sums the pools' cumulative terminal energy ledgers.
-func (e *Engine) deviceEnergy() (in, out units.Energy) {
-	ba := e.cfg.Battery.Stats()
-	in, out = ba.EnergyIn, ba.EnergyOut
-	if e.cfg.Supercap != nil {
-		sc := e.cfg.Supercap.Stats()
-		in += sc.EnergyIn
-		out += sc.EnergyOut
-	}
-	return in, out
-}
-
-// ledgerStep measures the step's bus-boundary ledger from cumulative
-// deltas and advances the baselines. It is shared by the auditor and the
-// alert engine, so the deltas are computed once per step however many
-// consumers are attached.
-//
-// The bus boundary sits between the sources (utility feed, discharging
-// devices) and the sinks (server load as metered, charging devices,
-// modeled conversion losses):
-//
-//	in  = Δutility drawn + Δdevice discharge (terminal side)
-//	out = Δutility load credit + Δbuffer-served load + Δdevice charge
-//	      + Δconverter losses
-//
-// Every engine path balances these exactly, so the audit tolerance only
-// absorbs float summation error — any modeling bug that creates or
-// destroys energy at the bus shows up as drift.
-func (e *Engine) ledgerStep() (inWh, outWh float64) {
-	devIn, devOut := e.deviceEnergy()
-	meterUtility := e.fabric.Meter().Utility
-	served := e.servedBA + e.servedSC
-	convLoss := e.dischargeConv.Loss() + e.utilityConv.Loss()
-
-	in := (e.utilityDrawn - e.ledger.utilityDrawn) + (devOut - e.ledger.devOut)
-	out := (meterUtility - e.ledger.meterUtility) + (served - e.ledger.served) +
-		(devIn - e.ledger.devIn) + (convLoss - e.ledger.convLoss)
-
-	e.ledger = ledgerState{
-		utilityDrawn: e.utilityDrawn,
-		meterUtility: meterUtility,
-		served:       served,
-		devIn:        devIn,
-		devOut:       devOut,
-		convLoss:     convLoss,
-	}
-	return in.Wh(), out.Wh()
-}
-
-// auditStep feeds the step's bus ledger into the auditor and runs the
-// structural invariant checks.
-func (e *Engine) auditStep(now time.Duration, inWh, outWh float64) {
-	e.cfg.Audit.RecordStep(now.Seconds(), inWh, outWh)
-	e.auditBounds(now)
-	e.auditRelays(now)
-}
-
-// alertStep feeds the step's live signals to the SLO rule engine: SoC on
-// every probed device (floor/ceiling/DoD rules), the mismatch-window
-// clock, the shared bus ledger, the bus ramp rate, and relay
-// exclusivity. Newly fired alerts are bridged to the event log.
-func (e *Engine) alertStep(now time.Duration, inWh, outWh float64) {
-	al := e.cfg.Alerts
-	sec := now.Seconds()
-	for _, t := range e.probeTargets {
-		// Charge-protection SLOs scope to batteries: supercaps sweep their
-		// full usable window by design, so floor/DoD breaches there are
-		// normal operation, not faults.
-		if t.battery {
-			al.ObserveSoC(sec, t.name, t.dev.ProbeSnapshot().SoC)
-		}
-	}
-	al.ObserveMismatch(sec, e.mismatchSteps > e.alertMismatchPrev, e.cfg.Step.Seconds())
-	e.alertMismatchPrev = e.mismatchSteps
-	al.ObserveLedger(sec, inWh, outWh)
-	if n := len(e.demandSeries); n >= 2 {
-		al.ObserveRamp(sec, math.Abs(e.demandSeries[n-1]-e.demandSeries[n-2])/e.cfg.Step.Seconds())
-	}
-	counts := e.fabric.SourceCounts()
-	total := 0
-	for _, n := range counts {
-		total += n
-	}
-	exclusive := total == e.fabric.NumServers() && counts[power.SourceOff] == e.fabric.NumOffline()
-	al.ObserveRelays(sec, exclusive, total, e.fabric.NumServers())
-	e.emitAlerts()
-}
-
-// alertFinish runs the end-of-run battery wear-rate rule and drains any
-// still-queued alerts to the event sink.
-func (e *Engine) alertFinish() {
-	al := e.cfg.Alerts
-	sec := float64(e.steps) * e.cfg.Step.Seconds()
-	if days := sec / 86400; days > 0 {
-		if wearer, ok := e.cfg.Battery.(interface{ Wear() (esd.WearReport, int) }); ok {
-			if report, n := wearer.Wear(); n > 0 {
-				al.ObserveWear(sec, "battery", report.EquivalentFullCycles/days)
-			}
-		} else if b, ok := e.cfg.Battery.(*esd.Battery); ok {
-			al.ObserveWear(sec, "battery", b.Wear().EquivalentFullCycles/days)
-		}
-	}
-	e.emitAlerts()
-}
-
-// emitAlerts drains newly fired alerts into the event log as EventAlert;
-// with no event sink the queue is still drained so it cannot grow.
-func (e *Engine) emitAlerts() {
-	fired := e.cfg.Alerts.TakeFired()
-	if len(fired) == 0 || e.cfg.Events == nil {
-		return
-	}
-	for _, a := range fired {
-		detail := a.Kind.String() + "/" + a.Severity.String()
-		if a.Device != "" {
-			detail += " @" + a.Device
-		}
-		e.cfg.Events.Emit(obs.Event{
-			Seconds: a.Seconds, Kind: obs.EventAlert, Server: -1,
-			Watts: a.Value, Detail: detail,
-		})
-	}
-}
-
-// auditBounds checks every probed device against its physical envelope:
-// state of charge inside [0,1], raw charge wells non-negative and within
-// chemical capacity, open-circuit voltage inside its legal window.
-func (e *Engine) auditBounds(now time.Duration) {
-	a := e.cfg.Audit
-	sec := now.Seconds()
-	for _, t := range e.probeTargets {
-		s := t.dev.ProbeSnapshot()
-		if s.SoC < 0 || s.SoC > 1 {
-			a.Flag(obs.AuditEvent{Seconds: sec, Kind: obs.AuditSoCBound, Device: t.name,
-				Value: s.SoC, Limit: 1, Detail: "state of charge outside [0,1]"})
-		}
-		// Absolute slack for well roundoff: a few nano-amp-hours.
-		const slackAh = 1e-9
-		if s.AvailAh < -slackAh || s.BoundAh < -slackAh {
-			a.Flag(obs.AuditEvent{Seconds: sec, Kind: obs.AuditChargeBound, Device: t.name,
-				Value: math.Min(s.AvailAh, s.BoundAh), Limit: 0, Detail: "negative charge well"})
-		}
-		if s.CapacityAh > 0 && s.AvailAh+s.BoundAh > s.CapacityAh*(1+1e-9)+slackAh {
-			a.Flag(obs.AuditEvent{Seconds: sec, Kind: obs.AuditChargeBound, Device: t.name,
-				Value: s.AvailAh + s.BoundAh, Limit: s.CapacityAh, Detail: "stored charge above capacity"})
-		}
-		if s.VMaxV > s.VMinV {
-			const slackV = 1e-9
-			if s.VoltageV < s.VMinV-slackV || s.VoltageV > s.VMaxV+slackV {
-				a.Flag(obs.AuditEvent{Seconds: sec, Kind: obs.AuditVoltageBound, Device: t.name,
-					Value: s.VoltageV, Limit: s.VMaxV, Detail: "open-circuit voltage outside window"})
-			}
-		}
-	}
-}
-
-// auditRelays checks the fabric's exclusivity invariant: every server's
-// relay sits in exactly one position, so the per-source counts partition
-// the fleet and the off count matches the fabric's shed accounting.
-func (e *Engine) auditRelays(now time.Duration) {
-	a := e.cfg.Audit
-	counts := e.fabric.SourceCounts()
-	total := 0
-	for _, n := range counts {
-		total += n
-	}
-	if total != e.fabric.NumServers() {
-		a.Flag(obs.AuditEvent{Seconds: now.Seconds(), Kind: obs.AuditRelayExclusivity,
-			Value: float64(total), Limit: float64(e.fabric.NumServers()),
-			Detail: "relay positions do not partition the servers"})
-	}
-	if counts[power.SourceOff] != e.fabric.NumOffline() {
-		a.Flag(obs.AuditEvent{Seconds: now.Seconds(), Kind: obs.AuditRelayExclusivity,
-			Value: float64(counts[power.SourceOff]), Limit: float64(e.fabric.NumOffline()),
-			Detail: "off-relay count disagrees with shed accounting"})
-	}
-}
-
 // planSlot queries the controller for the coming slot's decision.
 func (e *Engine) planSlot(now time.Duration) {
-	if e.cfg.Spans != nil {
-		e.cfg.Spans.Begin("plan", "control")
-	}
+	e.notify(BeforePlan)
 	scAvail, scCap := e.supercapEnergy()
 	baAvail := e.cfg.Battery.Stored()
 	baCap := e.cfg.Battery.Capacity()
@@ -934,10 +482,7 @@ func (e *Engine) planSlot(now time.Duration) {
 	if e.cfg.Events != nil {
 		e.emitPlanEvents(now)
 	}
-	if e.cfg.Spans != nil {
-		e.cfg.Spans.Advance(obs.VirtualPlanUS)
-		e.cfg.Spans.End()
-	}
+	e.notify(AfterPlan)
 }
 
 // emitPlanEvents reports the slot plan: dispatch-mode changes and the
@@ -966,13 +511,7 @@ func (e *Engine) finishSlot() {
 	if !e.slotHasSample {
 		return
 	}
-	if e.cfg.Spans != nil {
-		e.cfg.Spans.Begin("finish", "control")
-		defer func() {
-			e.cfg.Spans.Advance(obs.VirtualFinishUS)
-			e.cfg.Spans.End()
-		}()
-	}
+	e.notify(BeforeFinish)
 	scAvail, scCap := e.supercapEnergy()
 	r := core.SlotResult{
 		ActualPeak:   e.slotPeak,
@@ -986,6 +525,7 @@ func (e *Engine) finishSlot() {
 	e.cfg.Controller.FinishSlot(r)
 	e.slotPeaks = append(e.slotPeaks, float64(e.slotPeak))
 	e.slotValleys = append(e.slotValleys, float64(e.slotValley))
+	e.notify(AfterFinish)
 }
 
 func (e *Engine) supercapEnergy() (avail, capacity units.Energy) {
@@ -1051,37 +591,7 @@ func (e *Engine) step(now time.Duration) {
 	} else {
 		e.stepMismatch(now, demand, supply, effSupply, dt)
 	}
-	if cfg.Observer != nil {
-		cfg.Observer(e.snapshot(now, demand, supply, mismatch))
-	}
-}
-
-// snapshot assembles the observer's per-tick view.
-func (e *Engine) snapshot(now time.Duration, demand, supply units.Power, mismatch bool) StepInfo {
-	info := StepInfo{
-		Now:           now,
-		Demand:        demand,
-		Supply:        supply,
-		BatterySoC:    e.cfg.Battery.SoC(),
-		Mismatch:      mismatch,
-		RelaySwitches: e.fabric.SwitchCounts(),
-	}
-	if e.cfg.Supercap != nil {
-		info.SupercapSoC = e.cfg.Supercap.SoC()
-	}
-	for _, s := range e.cfg.Servers {
-		switch e.fabric.SourceOf(s.ID()) {
-		case power.SourceUtility:
-			info.OnUtility++
-		case power.SourceBattery:
-			info.OnBattery++
-		case power.SourceSupercap:
-			info.OnSupercap++
-		case power.SourceOff:
-			info.Off++
-		}
-	}
-	return info
+	e.v.demand, e.v.supply, e.v.mismatch = demand, supply, mismatch
 }
 
 // applyCapping runs the cluster DVFS governor: step every server down

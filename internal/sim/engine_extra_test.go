@@ -15,7 +15,7 @@ func TestObserverReceivesEveryStep(t *testing.T) {
 	w := flatTrace(0.5, 6, 5*time.Minute, time.Second)
 	var snaps []StepInfo
 	cfg := baseConfig(r, w, controller(t, core.NewSCFirst(), 500))
-	cfg.Observer = func(s StepInfo) { snaps = append(snaps, s) }
+	cfg.Instruments = []Instrument{Observer(func(s StepInfo) { snaps = append(snaps, s) })}
 	MustNew(cfg).Run()
 	if len(snaps) != 300 {
 		t.Fatalf("observer saw %d steps, want 300", len(snaps))

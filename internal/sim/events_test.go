@@ -139,7 +139,7 @@ func TestObserverSeesRelaySwitchCounts(t *testing.T) {
 	w := flatTrace(1.0, 6, 10*time.Minute, time.Second)
 	cfg := baseConfig(r, w, controller(t, core.NewSCFirst(), 260))
 	var last StepInfo
-	cfg.Observer = func(info StepInfo) { last = info }
+	cfg.Instruments = []Instrument{Observer(func(info StepInfo) { last = info })}
 	res := MustNew(cfg).Run()
 	if last.RelaySwitches != res.RelaySwitches {
 		t.Errorf("final StepInfo switches %v != Result %v", last.RelaySwitches, res.RelaySwitches)

@@ -14,8 +14,7 @@ func TestProbeDecimationAndDeviceNames(t *testing.T) {
 	w := flatTrace(0.5, 6, 5*time.Minute, time.Second)
 	cfg := baseConfig(r, w, controller(t, core.NewSCFirst(), 260))
 	rec := obs.NewProbeRecorder(0)
-	cfg.Probes = rec
-	cfg.ProbeEvery = 60
+	cfg.Instruments = []Instrument{Probes(rec, 60)}
 	MustNew(cfg).Run()
 
 	devices := rec.Devices()
@@ -52,8 +51,7 @@ func TestProbesSkipNullBattery(t *testing.T) {
 	cfg.Battery = esd.Null{}
 	cfg.Supercap = nil
 	rec := obs.NewProbeRecorder(0)
-	cfg.Probes = rec
-	cfg.ProbeEvery = 30
+	cfg.Instruments = []Instrument{Probes(rec, 30)}
 	MustNew(cfg).Run()
 	if n := len(rec.Devices()); n != 0 {
 		t.Errorf("Null battery produced %d probe devices", n)
@@ -65,7 +63,7 @@ func TestAuditPassesOnRealRun(t *testing.T) {
 	w := squareTrace(0.2, 1.0, 4*time.Minute, 6, 30*time.Minute, time.Second)
 	cfg := baseConfig(r, w, controller(t, core.NewSCFirst(), 260))
 	auditor := obs.NewAuditor(obs.AuditModeReport, 0)
-	cfg.Audit = auditor
+	cfg.Instruments = []Instrument{Audit(auditor)}
 	res := MustNew(cfg).Run()
 
 	rep := auditor.Report()
@@ -101,7 +99,7 @@ func TestAuditPassesUnderShedAndCharge(t *testing.T) {
 	w := squareTrace(0.2, 1.0, 6*time.Minute, 6, 30*time.Minute, time.Second)
 	cfg := baseConfig(r, w, controller(t, core.NewSCFirst(), 200))
 	auditor := obs.NewAuditor(obs.AuditModeReport, 0)
-	cfg.Audit = auditor
+	cfg.Instruments = []Instrument{Audit(auditor)}
 	res := MustNew(cfg).Run()
 	if res.ShedEvents == 0 {
 		t.Fatal("regime produced no sheds; test lost its point")
@@ -123,7 +121,7 @@ func TestAuditStrictAbortsRun(t *testing.T) {
 	// Pre-flag a violation: the engine must stop at the first step's
 	// audit check instead of running out the clock.
 	auditor.Flag(obs.AuditEvent{Kind: obs.AuditLedgerDrift, Detail: "injected"})
-	cfg.Audit = auditor
+	cfg.Instruments = []Instrument{Audit(auditor)}
 	res := MustNew(cfg).Run()
 	if res.Steps >= 600 {
 		t.Fatalf("strict audit did not abort: ran %d steps", res.Steps)
@@ -147,7 +145,7 @@ func TestObserverSeesShedAndRestoreWindows(t *testing.T) {
 	w := squareTrace(0.2, 1.0, 6*time.Minute, 6, 30*time.Minute, time.Second)
 	cfg := baseConfig(r, w, controller(t, core.NewSCFirst(), 200))
 	var snaps []StepInfo
-	cfg.Observer = func(s StepInfo) { snaps = append(snaps, s) }
+	cfg.Instruments = []Instrument{Observer(func(s StepInfo) { snaps = append(snaps, s) })}
 	res := MustNew(cfg).Run()
 	if res.ShedEvents == 0 || len(snaps) != res.Steps {
 		t.Fatalf("sheds %d, snaps %d/%d", res.ShedEvents, len(snaps), res.Steps)
@@ -196,14 +194,14 @@ func TestObserverSeesDVFSCappingWindow(t *testing.T) {
 		cfg.Supercap = nil
 		cfg.DVFSCapping = capping
 		peak := 0.0
-		cfg.Observer = func(s StepInfo) {
+		cfg.Instruments = []Instrument{Observer(func(s StepInfo) {
 			if total := s.OnUtility + s.OnBattery + s.OnSupercap + s.Off; total != 6 {
 				t.Fatalf("relay counts sum to %d: %+v", total, s)
 			}
 			if float64(s.Demand) > peak {
 				peak = float64(s.Demand)
 			}
-		}
+		})}
 		res := MustNew(cfg).Run()
 		if capping && res.DegradedServerSeconds <= 0 {
 			t.Fatal("capping recorded no degraded time")
@@ -221,7 +219,7 @@ func TestEngineSpanStructure(t *testing.T) {
 	w := flatTrace(0.5, 6, 5*time.Minute, time.Second)
 	cfg := baseConfig(r, w, controller(t, core.NewSCFirst(), 260))
 	tracer := obs.NewTracer()
-	cfg.Spans = tracer.NewTrack("test", "run1")
+	cfg.Instruments = []Instrument{Spans(tracer.NewTrack("test", "run1"))}
 	MustNew(cfg).Run()
 
 	events := tracer.Events()

@@ -52,9 +52,9 @@ func (p ROIParams) HybridCostPerWh() float64 {
 	return (p.BatteryCostPerKWh*p.BatteryFraction + p.SCCostPerKWh*p.SCFraction) / 1000
 }
 
-// AmortizedHybridCostPerWhYear spreads the blended cost over component
+// amortizedHybridCostPerWhYear spreads the blended cost over component
 // lifetimes, in $/Wh/year.
-func (p ROIParams) AmortizedHybridCostPerWhYear() float64 {
+func (p ROIParams) amortizedHybridCostPerWhYear() float64 {
 	batt := p.BatteryCostPerKWh / 1000 * p.BatteryFraction / p.BatteryLifeYears
 	sc := p.SCCostPerKWh / 1000 * p.SCFraction / p.SCLifeYears
 	return batt + sc
@@ -69,7 +69,7 @@ func (p ROIParams) ROI(capPerWatt, peakHours float64) float64 {
 		return 0
 	}
 	capAmort := capPerWatt / p.InfraLifeYears
-	hebAmort := peakHours * p.AmortizedHybridCostPerWhYear()
+	hebAmort := peakHours * p.amortizedHybridCostPerWhYear()
 	if hebAmort <= 0 {
 		return 0
 	}

@@ -91,5 +91,5 @@ func (m *Metrics) Observe(s sim.StepInfo) {
 	}
 }
 
-// Observer adapts the bridge to sim.Config.Observer.
+// Observer adapts the bridge to a sim.Observer instrument (RunOptions.Observer).
 func (m *Metrics) Observer() func(sim.StepInfo) { return m.Observe }

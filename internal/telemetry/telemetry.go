@@ -17,7 +17,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"time"
 
 	"heb/internal/ascii"
 	"heb/internal/sim"
@@ -96,7 +95,8 @@ func MustNewRecorder(capacity int) *Recorder {
 	return r
 }
 
-// Observer returns the callback to plug into sim.Config.Observer.
+// Observer returns the callback for a sim.Observer instrument
+// (RunOptions.Observer).
 func (r *Recorder) Observer() func(sim.StepInfo) {
 	return func(s sim.StepInfo) { r.Record(fromStep(s)) }
 }
@@ -250,15 +250,4 @@ func writeJSON(w http.ResponseWriter, v any) {
 	if err := json.NewEncoder(w).Encode(v); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
-}
-
-// Serve runs the monitor on addr until the server fails; it is a
-// convenience for cmd/hebmon.
-func Serve(addr string, r *Recorder) error {
-	srv := &http.Server{
-		Addr:              addr,
-		Handler:           r.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-	return srv.ListenAndServe()
 }

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"time"
@@ -232,7 +233,15 @@ func ReadCSV(r io.Reader, name string, fallbackStep time.Duration) (*Trace, erro
 		t0, err0 := strconv.ParseFloat(records[1][0], 64)
 		t1, err1 := strconv.ParseFloat(records[2][0], 64)
 		if err0 == nil && err1 == nil && t1 > t0 {
-			tr.Step = time.Duration((t1 - t0) * float64(time.Second))
+			// A step below 1 ns truncates to zero and one past the
+			// Duration range overflows; both are a bad time column, not a
+			// missing fallback.
+			ns := (t1 - t0) * float64(time.Second)
+			if !(ns >= 1 && ns < math.MaxInt64) {
+				return nil, fmt.Errorf("trace: csv time column %q, %q gives step %gs, outside [1ns, %v)",
+					records[1][0], records[2][0], t1-t0, time.Duration(math.MaxInt64))
+			}
+			tr.Step = time.Duration(ns)
 		}
 	}
 	if tr.Step <= 0 {

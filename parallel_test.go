@@ -89,7 +89,7 @@ func goroutineID() int {
 }
 
 // TestObserverRunsOnEngineGoroutine pins down the documented contract of
-// Config.Observer: the engine invokes it synchronously from whichever
+// RunOptions.Observer: the engine invokes it synchronously from whichever
 // goroutine executes Run, never from a pool or helper goroutine — the
 // property that lets per-run observers skip locking even inside parallel
 // sweeps.
