@@ -20,31 +20,27 @@
 //	    workload, metric) present on both sides, B's median is scored
 //	    against A's population. Exits 1 on any critical drift.
 //
-//	hebwatch bench [-ns-tol R] current.json baseline.json
-//	    Check benchmark drift between two BENCH_*.json files as written
-//	    by scripts/bench.sh: allocs/op must match exactly (allocation
-//	    counts are deterministic), ns/op may grow by at most R (default
-//	    1.5, matching bench.sh -check). When baseline.json is a
-//	    BENCH_prof.json profile baseline (a "frames" array), current is
-//	    instead a pprof file or capture dir and the comparison runs
-//	    cmd/hebprof's frame gate. Exits 1 on any violation.
+//	hebwatch bench [-update] bench.txt baseline.json [bench.txt baseline.json ...]
+//	    The benchmark gate scripts/bench.sh runs. Each bench.txt is
+//	    `go test -bench -benchmem` output, held to the BENCH_*.json
+//	    baseline after it: every baseline row measured again, allocs/op
+//	    exact (+/-8 on MultiSeed*/EngineProf*), ns/op at most 1.5x. All
+//	    outputs together must then meet the absolute targets in
+//	    bench.go. -update rewrites each baseline from its output
+//	    instead. Exits 1 on any violation.
 //
 // Exit status: 0 clean, 1 critical findings, 2 on usage or read errors.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 	"sort"
-	"strings"
 
 	"heb/internal/obs"
-	"heb/internal/obs/prof"
 	"heb/internal/obs/registry"
 	"heb/internal/obs/registry/baseline"
 )
@@ -77,18 +73,12 @@ func main() {
 		criticals, err = diff(os.Stdout, fs.Arg(0), fs.Arg(1), baseline.Window{MaxN: *window, MinN: *minCohort})
 	case "bench":
 		fs := flag.NewFlagSet("bench", flag.ExitOnError)
-		nsTol := fs.Float64("ns-tol", 1.5, "maximum allowed ns/op growth factor")
+		update := fs.Bool("update", false, "rewrite each baseline from its go test output")
 		fs.Parse(os.Args[2:])
-		if fs.NArg() != 2 {
+		if fs.NArg() == 0 || fs.NArg()%2 != 0 {
 			usage()
 		}
-		// A baseline with a "frames" array is a BENCH_prof.json profile
-		// baseline, not a timings file: route to the profile comparator.
-		if prof.IsBaselineFile(fs.Arg(1)) {
-			criticals, err = benchProf(os.Stdout, fs.Arg(0), fs.Arg(1))
-		} else {
-			criticals, err = bench(os.Stdout, fs.Arg(0), fs.Arg(1), *nsTol)
-		}
+		criticals, err = bench(os.Stdout, fs.Args(), *update)
 	default:
 		usage()
 	}
@@ -104,7 +94,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: hebwatch score [-run ID] [-window N] [-min-cohort N] root/
        hebwatch diff [-window N] [-min-cohort N] rootA/ rootB/
-       hebwatch bench [-ns-tol R] current.json baseline.json`)
+       hebwatch bench [-update] bench.txt baseline.json [bench.txt baseline.json ...]`)
 	os.Exit(2)
 }
 
@@ -249,135 +239,6 @@ func cohortValues(root string) (map[string][]float64, error) {
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("no complete runs under %s", root)
-	}
-	return out, nil
-}
-
-// benchFile mirrors the JSON scripts/bench.sh writes; null columns stay
-// nil.
-type benchFile struct {
-	Benchmarks []benchRow `json:"benchmarks"`
-}
-
-type benchRow struct {
-	Name   string   `json:"name"`
-	Ns     *float64 `json:"ns_per_op"`
-	Allocs *float64 `json:"allocs_per_op"`
-}
-
-// bench compares two bench.sh JSON files with bench.sh -check's rules:
-// allocs/op exact, ns/op within nsTol×. Every violation is critical.
-func bench(w io.Writer, curPath, basePath string, nsTol float64) (int, error) {
-	cur, err := loadBench(curPath)
-	if err != nil {
-		return 0, err
-	}
-	base, err := loadBench(basePath)
-	if err != nil {
-		return 0, err
-	}
-	names := make([]string, 0, len(base))
-	for name := range base {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
-	criticals := 0
-	for _, name := range names {
-		b := base[name]
-		c, ok := cur[name]
-		if !ok {
-			fmt.Fprintf(w, "%s: in baseline but not measured\n", name)
-			criticals++
-			continue
-		}
-		if b.Allocs != nil && c.Allocs != nil && *c.Allocs != *b.Allocs {
-			fmt.Fprintf(w, "%s: allocs/op %g, baseline %g (must match exactly)\n", name, *c.Allocs, *b.Allocs)
-			criticals++
-		}
-		if b.Ns != nil && c.Ns != nil && *b.Ns > 0 && *c.Ns > *b.Ns*nsTol {
-			fmt.Fprintf(w, "%s: ns/op %g exceeds baseline %g by more than %gx\n", name, *c.Ns, *b.Ns, nsTol)
-			criticals++
-		}
-	}
-	verdict := "within tolerance"
-	if criticals > 0 {
-		verdict = "REGRESSED"
-	}
-	fmt.Fprintf(w, "hebwatch: %d benchmarks vs %s: %s (%d findings, allocs exact, ns/op <= %gx)\n",
-		len(names), basePath, verdict, criticals, nsTol)
-	return criticals, nil
-}
-
-// benchProf gates a current profile against a committed BENCH_prof.json
-// top-frames baseline with cmd/hebprof's check semantics (shared
-// prof.Check, default thresholds). curPath is a pprof proto file (e.g. a
-// `go test -memprofile` output) or a capture directory holding
-// profiles/. Every violation is critical.
-func benchProf(w io.Writer, curPath, basePath string) (int, error) {
-	b, err := prof.ReadBaseline(basePath)
-	if err != nil {
-		return 0, err
-	}
-	sample := strings.SplitN(b.Sample, "/", 2)[0]
-	path := curPath
-	if info, serr := os.Stat(curPath); serr == nil && info.IsDir() {
-		path = filepath.Join(curPath, prof.Dir, prof.FileName(kindForSample(sample)))
-	}
-	p, err := prof.ParseFile(path)
-	if err != nil {
-		return 0, err
-	}
-	r, err := prof.NewRollup([]*prof.Profile{p}, sample, "")
-	if err != nil {
-		return 0, err
-	}
-	viol := prof.Check(b, r, prof.DefaultCheckOpts())
-	for _, v := range viol {
-		fmt.Fprintf(w, "%s\n", v)
-	}
-	verdict := "within tolerance"
-	if len(viol) > 0 {
-		verdict = "REGRESSED"
-	}
-	fmt.Fprintf(w, "hebwatch: profile %s vs %s (%d frames, sample %s): %s (%d findings)\n",
-		path, basePath, len(b.Frames), b.Sample, verdict, len(viol))
-	return len(viol), nil
-}
-
-// kindForSample maps a baseline's sample-type name to the capture
-// profile kind that carries it.
-func kindForSample(sample string) string {
-	switch sample {
-	case "alloc_space", "alloc_objects":
-		return "allocs"
-	case "inuse_space", "inuse_objects":
-		return "heap"
-	case "contentions", "delay":
-		return "mutex"
-	default:
-		return "cpu"
-	}
-}
-
-func loadBench(path string) (map[string]benchRow, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var f benchFile
-	if err := json.Unmarshal(raw, &f); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if len(f.Benchmarks) == 0 {
-		return nil, fmt.Errorf("%s: no benchmarks", path)
-	}
-	out := make(map[string]benchRow, len(f.Benchmarks))
-	for _, b := range f.Benchmarks {
-		if strings.TrimSpace(b.Name) == "" {
-			return nil, fmt.Errorf("%s: benchmark with empty name", path)
-		}
-		out[b.Name] = b
 	}
 	return out, nil
 }

@@ -1,14 +1,12 @@
 package main
 
 import (
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"heb/internal/obs"
 	"heb/internal/obs/alerts"
-	"heb/internal/obs/prof"
 	"heb/internal/obs/registry/baseline"
 )
 
@@ -164,139 +162,5 @@ func TestDiffIdenticalTreesClean(t *testing.T) {
 	}
 	if criticals != 0 || !strings.Contains(sb.String(), "0 critical, 0 warn") {
 		t.Fatalf("identical trees diffed dirty (%d criticals):\n%s", criticals, sb.String())
-	}
-}
-
-func writeBench(t *testing.T, path, body string) {
-	t.Helper()
-	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBenchDrift(t *testing.T) {
-	dir := t.TempDir()
-	base := filepath.Join(dir, "base.json")
-	writeBench(t, base, `{"benchmarks": [
-  {"name":"BenchmarkEngineStep","ns_per_op":1000,"allocs_per_op":897,"bytes_per_op":156000,"sim_steps_per_second":null},
-  {"name":"BenchmarkEngineReuse","ns_per_op":1000,"allocs_per_op":62,"bytes_per_op":9300,"sim_steps_per_second":null},
-  {"name":"BenchmarkCheckpointDelta","ns_per_op":1300,"allocs_per_op":1064,"bytes_per_op":352000,"sim_steps_per_second":null},
-  {"name":"BenchmarkEngineAlertsDisabled","ns_per_op":1000,"allocs_per_op":897,"bytes_per_op":156000,"sim_steps_per_second":null}
-]}`)
-
-	// Identical file: clean.
-	var sb strings.Builder
-	criticals, err := bench(&sb, base, base, 1.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if criticals != 0 || !strings.Contains(sb.String(), "within tolerance") {
-		t.Fatalf("self-compare dirty (%d criticals):\n%s", criticals, sb.String())
-	}
-
-	// Alloc drift is critical even when ns/op is fine; ns/op blowups and
-	// missing benchmarks count too.
-	cur := filepath.Join(dir, "cur.json")
-	writeBench(t, cur, `{"benchmarks": [
-  {"name":"BenchmarkEngineStep","ns_per_op":1600,"allocs_per_op":902,"bytes_per_op":156000,"sim_steps_per_second":null},
-  {"name":"BenchmarkEngineReuse","ns_per_op":1000,"allocs_per_op":62,"bytes_per_op":9300,"sim_steps_per_second":null},
-  {"name":"BenchmarkCheckpointDelta","ns_per_op":1300,"allocs_per_op":1064,"bytes_per_op":352000,"sim_steps_per_second":null}
-]}`)
-	sb.Reset()
-	criticals, err = bench(&sb, cur, base, 1.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if criticals != 3 {
-		t.Fatalf("criticals = %d, want 3 (allocs, ns, missing):\n%s", criticals, out)
-	}
-	for _, want := range []string{"must match exactly", "by more than", "not measured"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("bench output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestBenchBadFiles(t *testing.T) {
-	dir := t.TempDir()
-	good := filepath.Join(dir, "good.json")
-	writeBench(t, good, `{"benchmarks": [{"name":"B","ns_per_op":1,"allocs_per_op":1}]}`)
-	var sb strings.Builder
-	if _, err := bench(&sb, filepath.Join(dir, "missing.json"), good, 1.5); err == nil {
-		t.Fatal("missing current file accepted")
-	}
-	bad := filepath.Join(dir, "bad.json")
-	writeBench(t, bad, "{not json")
-	if _, err := bench(&sb, bad, good, 1.5); err == nil {
-		t.Fatal("corrupt current file accepted")
-	}
-	empty := filepath.Join(dir, "empty.json")
-	writeBench(t, empty, `{"benchmarks": []}`)
-	if _, err := bench(&sb, empty, good, 1.5); err == nil {
-		t.Fatal("empty benchmark list accepted")
-	}
-}
-
-// TestBenchRoutesProfileBaseline pins the bench subcommand's routing: a
-// baseline file with a "frames" array runs the profile frame gate
-// against a pprof input instead of the timings comparator.
-func TestBenchRoutesProfileBaseline(t *testing.T) {
-	dir := t.TempDir()
-	c := prof.NewCollector(dir, []string{"allocs"})
-	if err := c.Start(); err != nil {
-		t.Fatal(err)
-	}
-	var sink [][]byte
-	for i := 0; i < 2000; i++ {
-		sink = append(sink, make([]byte, 1024))
-	}
-	_ = sink
-	if err := c.Stop(); err != nil {
-		t.Fatal(err)
-	}
-	profPath := filepath.Join(dir, prof.Dir, prof.FileName("allocs"))
-	p, err := prof.ParseFile(profPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := prof.NewRollup([]*prof.Profile{p}, "alloc_space", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	base := filepath.Join(t.TempDir(), "BENCH_prof.json")
-	if err := prof.WriteBaseline(base, prof.NewBaseline(r, 25, "test")); err != nil {
-		t.Fatal(err)
-	}
-	if !prof.IsBaselineFile(base) {
-		t.Fatal("written baseline not recognized as a profile baseline")
-	}
-
-	// Self-check: profile against its own baseline is clean, via both a
-	// direct file path and the capture directory.
-	for _, in := range []string{profPath, dir} {
-		var out strings.Builder
-		n, err := benchProf(&out, in, base)
-		if err != nil || n != 0 {
-			t.Fatalf("self check via %s: %d findings, %v\n%s", in, n, err, out.String())
-		}
-		if !strings.Contains(out.String(), "within tolerance") {
-			t.Errorf("missing verdict line:\n%s", out.String())
-		}
-	}
-
-	// A baseline that doesn't cover the profile's frames regresses.
-	fake := filepath.Join(t.TempDir(), "BENCH_prof.json")
-	if err := os.WriteFile(fake, []byte(`{"v":1,"sample":"alloc_space/bytes","frames":[{"name":"no.suchFrame","flat_pct":95}]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out strings.Builder
-	n, err := benchProf(&out, profPath, fake)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n == 0 || !strings.Contains(out.String(), "REGRESSED") {
-		t.Fatalf("seeded regression not flagged (%d findings):\n%s", n, out.String())
 	}
 }

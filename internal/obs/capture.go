@@ -61,32 +61,20 @@ type RunArtifact struct {
 // sorted by (Key, content) and contains only simulation-deterministic
 // values — never wall-clock or scheduling state.
 type Capture struct {
-	mu       sync.Mutex
-	eventCap int
-	label    string
-	runs     []RunArtifact
+	mu    sync.Mutex
+	label string
+	runs  []RunArtifact
 }
 
 // DefaultEventCap bounds the events kept per run so a full-suite sweep
 // cannot grow without bound; overflow is counted, not stored.
 const DefaultEventCap = 5000
 
-// NewCapture builds an empty capture with the default per-run event cap.
-func NewCapture() *Capture { return &Capture{eventCap: DefaultEventCap} }
-
-// SetEventCap overrides the per-run event cap (0 = unbounded).
-func (c *Capture) SetEventCap(n int) {
-	c.mu.Lock()
-	c.eventCap = n
-	c.mu.Unlock()
-}
+// NewCapture builds an empty capture.
+func NewCapture() *Capture { return &Capture{} }
 
 // EventCap returns the per-run event cap each contributing run should use.
-func (c *Capture) EventCap() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.eventCap
-}
+func (c *Capture) EventCap() int { return DefaultEventCap }
 
 // SetLabel names the producing sweep/experiment; the label lands in the
 // manifest so the registry can show what a capture directory holds.

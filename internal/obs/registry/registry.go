@@ -87,7 +87,6 @@ type Registry struct {
 	runs     []Run
 	byID     map[string]int
 	errs     []string
-	scans    int
 }
 
 // New builds a registry over root. The index is empty until the first
@@ -167,16 +166,8 @@ func (r *Registry) Scan() error {
 	r.runs = runs
 	r.byID = byID
 	r.errs = errs
-	r.scans++
 	r.mu.Unlock()
 	return nil
-}
-
-// Scans returns how many scans have completed.
-func (r *Registry) Scans() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.scans
 }
 
 // Errors returns the per-manifest problems of the last scan.

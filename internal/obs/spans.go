@@ -37,9 +37,6 @@ func NewWallTracer() *Tracer {
 	return &Tracer{wall: true, start: time.Now()}
 }
 
-// Wall reports whether the tracer uses the wall clock.
-func (t *Tracer) Wall() bool { return t != nil && t.wall }
-
 // NewTrack opens a named event track. group becomes the trace process
 // (one per sweep cell), name the thread within it (one per run). Tracks
 // may be created and written concurrently; each track is single-writer.

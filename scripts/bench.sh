@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# bench.sh — sweep, engine and observability benchmarks, reported as
-# BENCH_sweep.json and BENCH_obs.json.
+# bench.sh — measure the sweep, engine and observability benchmarks and
+# hand the `go test` output to the benchmark gate, `hebwatch bench`,
+# which writes or checks BENCH_sweep.json and BENCH_obs.json.
 #
 # The sweep set runs the multi-seed sequential/parallel pair plus the raw
 # engine throughput benchmark and its pooled-reuse counterpart
@@ -29,7 +30,8 @@
 #
 # Usage:
 #   scripts/bench.sh [sweep.json [obs.json]]   measure and write baselines
-#   scripts/bench.sh -check                    measure and compare against
+#   scripts/bench.sh -check [sweep.json [obs.json]]
+#                                              measure and gate against
 #                                              the committed baselines
 #   scripts/bench.sh -profile [prof.json]      attribute the engine hot
 #                                              loop: run BenchmarkEngineStep
@@ -37,54 +39,29 @@
 #                                              the BENCH_prof.json top-frames
 #                                              baseline via hebprof check
 #
-# -check tolerances: allocs/op must match the baseline exactly (the
-# allocation counts are deterministic); ns/op may regress by at most
-# 50% (wall-clock is noisy across machines, so only gross regressions
-# fail). Two exceptions to exact allocs: the multi-seed pair (pooled
-# run state rides sync.Pools the GC is free to clear mid-run) and the
-# Prof pair (runtime/pprof sampling buffers grow with nondeterministic
-# sample counts) wobble by one or two allocs across runs — they get a
-# small absolute slack instead. The checkpoint pair
-# (BenchmarkEngineCheckpointEnabled, BenchmarkCheckpointDelta) is exact
-# too, but measured apart. Each GC cycle inside the timed loop costs the
-# pair ~9 allocs of sync.Pool refills (fmt, encoding/json, ckptBufPool);
-# at a time-based iteration count a cycle lands every ~9 runs, so the
-# mean sits within a few hundredths of an integer and go test's
-# truncated allocs/op flips with GC timing. The pair therefore runs in a
-# process of its own at a fixed -benchtime 20x: the timed loop starts
+# The rules and targets -check applies live in cmd/hebwatch/bench.go.
+# Two measuring choices here keep its exact allocs/op comparisons
+# stable. The checkpoint pair (BenchmarkEngineCheckpointEnabled,
+# BenchmarkCheckpointDelta) runs in a process of its own at a fixed
+# -benchtime 20x. Each GC cycle inside the timed loop costs the pair ~9
+# allocs of sync.Pool refills (fmt, encoding/json, ckptBufPool); at a
+# time-based iteration count a cycle lands every ~9 runs, so the mean
+# sits within a few hundredths of an integer and go test's truncated
+# allocs/op flips with GC timing. At a fixed count the timed loop starts
 # right after testing's runtime.GC(), with the same heap and the same
 # number of runs every time, so the same cycles fall inside it.
-# BenchmarkEngineBare runs in the same process, so the
-# checkpoint-overhead ratio below compares like with like.
+# BenchmarkEngineBare runs in the same process, so the checkpoint-overhead
+# ratio compares like with like.
 # The whole obs set runs at GOMAXPROCS=1. With more Ps the GC's
 # background workers and the per-P sync.Pool shards make the refill
 # count depend on the core count: on 2 CPUs the checkpoint pair measures
 # 1066/1067 and ManifestEnabled 1062, against 1063/1064 and 1061 on one.
 # Every obs benchmark is a single-goroutine engine run, so one P
 # measures the same program on any box.
-# When BENCH_prof.json is committed, -check additionally re-runs
-# the engine memprofile and gates its frame shares through `hebprof
-# check` (new frames >= 3% flat, known frames grown past 1.5x fail).
+# When BENCH_prof.json is committed, -check additionally re-runs the
+# engine memprofile and gates its frame shares through `hebprof check`
+# (new frames >= 3% flat, known frames grown past 1.5x fail).
 # Exits non-zero on any violation.
-#
-# On top of the baseline comparison, -check holds the measured run to
-# the zero-alloc/delta-checkpoint targets (absolute, independent of the
-# committed baselines):
-#   - BenchmarkEngineReuse allocs/op < 100 — pooled run-state reuse
-#     keeps the whole construct/step/finish cycle allocation-free.
-#   - checkpoint chain B/op < 400000 (Enabled and Delta) — the delta
-#     format's allocation budget; full-state chains cost ~2.2 MB/op.
-#   - BenchmarkCheckpointDelta deltaShare >= 0.5 — deltas, not
-#     keyframes, must dominate the chain.
-#   - CheckpointEnabled ns/op <= Bare x 1.2 (overhead target) x the
-#     ns_tol noise allowance. The deterministic columns above are gated
-#     exactly; the ratio shares the wall-clock tolerance because a
-#     single-core box measures ~1.45x (the floor is strconv
-#     shortest-float formatting of the series suffixes, against an
-#     uncheckpointed hour the cached esd step constants made fast).
-#   - MultiSeedParallel >= 2x MultiSeedSequential, gated only when the
-#     box has >= 4 CPUs — on fewer the pair is wall-clock identical by
-#     construction and the gate prints a skip note instead.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -97,9 +74,8 @@ esac
 sweep_out="${1:-BENCH_sweep.json}"
 obs_out="${2:-BENCH_obs.json}"
 prof_base="BENCH_prof.json"
-raw="$(mktemp)"
 scratch="$(mktemp -d)"
-trap 'rm -f "$raw"; rm -rf "$scratch"' EXIT
+trap 'rm -rf "$scratch"' EXIT
 
 # engine_memprofile reruns the hot-loop benchmark under the allocation
 # profiler and leaves the pprof proto at $scratch/engine_mem.pprof.
@@ -119,190 +95,37 @@ if [[ "$profile" == 1 ]]; then
 	exit 0
 fi
 
-# to_json parses `go test -bench` output on stdin into one JSON object
-# per benchmark with ns/op, allocs/op, B/op and simSteps/s.
-to_json() {
-	awk '
-	/^Benchmark/ {
-		name = $1
-		sub(/-[0-9]+$/, "", name)
-		ns = allocs = bytes = steps = "null"
-		for (i = 2; i < NF; i++) {
-			if ($(i + 1) == "ns/op") ns = $i
-			else if ($(i + 1) == "allocs/op") allocs = $i
-			else if ($(i + 1) == "B/op") bytes = $i
-			else if ($(i + 1) == "simSteps/s") steps = $i
-		}
-		printf "%s{\"name\":\"%s\",\"ns_per_op\":%s,\"allocs_per_op\":%s,\"bytes_per_op\":%s,\"sim_steps_per_second\":%s}", sep, name, ns, allocs, bytes, steps
-		sep = ",\n  "
-	}
-	BEGIN { printf "{\"benchmarks\": [\n  " }
-	END { printf "\n]}\n" }
-	'
-}
-
-# compare CURRENT BASELINE — fail when a benchmark present in both files
-# regressed: allocs/op differ at all, or ns/op grew beyond ns_tol×.
-ns_tol=1.5
-compare() {
-	awk -v ns_tol="$ns_tol" '
-	function parse(line, kv,   n, parts, i, p, kv2) {
-		n = split(line, parts, ",")
-		for (i = 1; i <= n; i++) {
-			p = parts[i]
-			gsub(/[{}"\]\[ \t]/, "", p)
-			split(p, kv2, ":")
-			kv[kv2[1]] = kv2[2]
-		}
-	}
-	FNR == 1 { file++ }
-	/"name"/ {
-		delete kv
-		parse($0, kv)
-		name = kv["name"]
-		if (file == 1) {
-			cur_ns[name] = kv["ns_per_op"]
-			cur_allocs[name] = kv["allocs_per_op"]
-		} else {
-			base_ns[name] = kv["ns_per_op"]
-			base_allocs[name] = kv["allocs_per_op"]
-		}
-	}
-	END {
-		bad = 0
-		for (name in base_ns) {
-			if (!(name in cur_ns)) {
-				printf "MISSING %s: in baseline but not measured\n", name
-				bad = 1
-				continue
-			}
-			slack = (name ~ /MultiSeed|EngineProf/) ? 8 : 0
-			d = cur_allocs[name] - base_allocs[name]
-			if (d < -slack || d > slack) {
-				if (slack > 0)
-					printf "REGRESSION %s: allocs/op %s, baseline %s (pool-wobble slack is +/-%d)\n", name, cur_allocs[name], base_allocs[name], slack
-				else
-					printf "REGRESSION %s: allocs/op %s, baseline %s (must match exactly)\n", name, cur_allocs[name], base_allocs[name]
-				bad = 1
-			}
-			if (base_ns[name] > 0 && cur_ns[name] > base_ns[name] * ns_tol) {
-				printf "REGRESSION %s: ns/op %s exceeds baseline %s by more than %gx\n", name, cur_ns[name], base_ns[name], ns_tol
-				bad = 1
-			}
-		}
-		exit bad
-	}
-	' "$1" "$2"
-}
-
-# run_set PROCS PATTERN OUT [FIXED_PATTERN] measures PATTERN, plus
-# FIXED_PATTERN at -benchtime $ckpt_runs in a process of its own, and
-# writes or checks OUT. A non-empty PROCS pins GOMAXPROCS for both.
-ckpt_runs=20x
+# run_set PROCS PATTERN RAW [FIXED_PATTERN] measures PATTERN, plus
+# FIXED_PATTERN at -benchtime 20x in a process of its own, into RAW. A
+# non-empty PROCS pins GOMAXPROCS for both.
 run_set() {
-	local procs="$1" pattern="$2" out="$3" fixed="${4:-}"
+	local procs="$1" pattern="$2" raw="$3" fixed="${4:-}"
 	local env=()
 	if [[ -n "$procs" ]]; then
 		env=(env GOMAXPROCS="$procs")
 	fi
 	"${env[@]}" go test -run '^$' -bench "$pattern" -benchmem -count=1 . | tee "$raw"
 	if [[ -n "$fixed" ]]; then
-		"${env[@]}" go test -run '^$' -bench "$fixed" -benchmem -count=1 -benchtime "$ckpt_runs" . | tee -a "$raw"
-	fi
-	cat "$raw" >>"$scratch/all_raw.txt"
-	if [[ "$check" == 1 ]]; then
-		local cur
-		cur="$(mktemp)"
-		to_json <"$raw" >"$cur"
-		if ! compare "$cur" "$out"; then
-			rm -f "$cur"
-			echo "bench.sh: regression against $out" >&2
-			exit 1
-		fi
-		rm -f "$cur"
-		echo "ok: within tolerance of $out (allocs exact, ns/op <= ${ns_tol}x)"
-	else
-		to_json <"$raw" >"$out"
-		echo "wrote $out"
+		"${env[@]}" go test -run '^$' -bench "$fixed" -benchmem -count=1 -benchtime 20x . | tee -a "$raw"
 	fi
 }
 
-run_set '' 'BenchmarkMultiSeedSequential|BenchmarkMultiSeedParallel|BenchmarkEngineStep$|BenchmarkEngineReuse$' "$sweep_out"
-run_set 1 'BenchmarkEngineObsEnabled|BenchmarkEngineProbesEnabled|BenchmarkEngineManifestEnabled|BenchmarkEngineAlertsEnabled|BenchmarkEngineProfEnabled' "$obs_out" \
+run_set '' 'BenchmarkMultiSeedSequential|BenchmarkMultiSeedParallel|BenchmarkEngineStep$|BenchmarkEngineReuse$' "$scratch/sweep.txt"
+run_set 1 'BenchmarkEngineObsEnabled|BenchmarkEngineProbesEnabled|BenchmarkEngineManifestEnabled|BenchmarkEngineAlertsEnabled|BenchmarkEngineProfEnabled' "$scratch/obs.txt" \
 	'BenchmarkEngineBare|BenchmarkEngineCheckpointEnabled|BenchmarkCheckpointDelta$'
 
-# Target gates (see header): absolute holds on the measured run, applied
-# over the raw benchmark output of both sets so they bind even as the
-# committed baselines move.
+update=(-update)
 if [[ "$check" == 1 ]]; then
-	ncpu="${GOMAXPROCS:-$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)}"
-	if ! awk -v ns_tol="$ns_tol" -v ncpu="$ncpu" '
-	/^Benchmark/ {
-		name = $1
-		sub(/-[0-9]+$/, "", name)
-		for (i = 2; i < NF; i++) {
-			if ($(i + 1) == "ns/op") ns[name] = $i
-			else if ($(i + 1) == "allocs/op") allocs[name] = $i
-			else if ($(i + 1) == "B/op") bytes[name] = $i
-			else if ($(i + 1) == "deltaShare") share[name] = $i
-		}
-	}
-	function need(name) {
-		if (name in ns) return 1
-		printf "TARGET %s: not measured\n", name
-		bad = 1
-		return 0
-	}
-	END {
-		bad = 0
-		if (need("BenchmarkEngineReuse") && allocs["BenchmarkEngineReuse"] + 0 >= 100) {
-			printf "TARGET BenchmarkEngineReuse: allocs/op %s, target < 100\n", allocs["BenchmarkEngineReuse"]
-			bad = 1
-		}
-		if (need("BenchmarkEngineCheckpointEnabled") && bytes["BenchmarkEngineCheckpointEnabled"] + 0 >= 400000) {
-			printf "TARGET BenchmarkEngineCheckpointEnabled: B/op %s, target < 400000\n", bytes["BenchmarkEngineCheckpointEnabled"]
-			bad = 1
-		}
-		if (need("BenchmarkCheckpointDelta")) {
-			if (bytes["BenchmarkCheckpointDelta"] + 0 >= 400000) {
-				printf "TARGET BenchmarkCheckpointDelta: B/op %s, target < 400000\n", bytes["BenchmarkCheckpointDelta"]
-				bad = 1
-			}
-			if (share["BenchmarkCheckpointDelta"] + 0 < 0.5) {
-				printf "TARGET BenchmarkCheckpointDelta: deltaShare %s, target >= 0.5\n", share["BenchmarkCheckpointDelta"]
-				bad = 1
-			}
-		}
-		if (need("BenchmarkEngineCheckpointEnabled") && need("BenchmarkEngineBare")) {
-			lim = ns["BenchmarkEngineBare"] * 1.2 * ns_tol
-			if (ns["BenchmarkEngineCheckpointEnabled"] + 0 > lim) {
-				printf "TARGET checkpoint overhead: Enabled %s ns/op vs Bare %s exceeds 1.2x target with %gx noise allowance\n",
-					ns["BenchmarkEngineCheckpointEnabled"], ns["BenchmarkEngineBare"], ns_tol
-				bad = 1
-			}
-		}
-		if (ncpu + 0 >= 4) {
-			if (need("BenchmarkMultiSeedSequential") && need("BenchmarkMultiSeedParallel") &&
-				ns["BenchmarkMultiSeedParallel"] + 0 > ns["BenchmarkMultiSeedSequential"] / 2) {
-				printf "TARGET multiseed speedup: Parallel %s ns/op vs Sequential %s is below 2x on %d CPUs\n",
-					ns["BenchmarkMultiSeedParallel"], ns["BenchmarkMultiSeedSequential"], ncpu
-				bad = 1
-			}
-		} else {
-			printf "note: multiseed >= 2x speedup gate skipped (%d CPUs; needs >= 4)\n", ncpu
-		}
-		exit bad
-	}
-	' "$scratch/all_raw.txt"; then
-		echo "bench.sh: target gate violation" >&2
-		exit 1
-	fi
-	echo "ok: zero-alloc/delta-checkpoint targets hold"
+	update=()
+fi
+if ! go run ./cmd/hebwatch bench "${update[@]}" \
+	"$scratch/sweep.txt" "$sweep_out" "$scratch/obs.txt" "$obs_out"; then
+	echo "bench.sh: benchmark gate failed" >&2
+	exit 1
 fi
 
 # Profile gate: with a committed top-frames baseline, re-attribute the
-# engine hot loop and fail on new or grown frames (same gate hebprof
-# check and hebwatch bench apply to profiled captures).
+# engine hot loop and fail on new or grown frames.
 if [[ "$check" == 1 && -f "$prof_base" ]]; then
 	engine_memprofile
 	if ! go run ./cmd/hebprof check -baseline "$prof_base" "$scratch/engine_mem.pprof"; then
